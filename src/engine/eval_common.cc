@@ -1,6 +1,8 @@
 #include "src/engine/eval_common.h"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 namespace vqldb {
 namespace eval_common {
@@ -201,6 +203,9 @@ bool InClass(const VideoDatabase& db, ObjectId id, BuiltinClass builtin) {
   return false;
 }
 
+namespace {
+
+// The whole object domain of a builtin class.
 std::vector<ObjectId> DomainOf(const VideoDatabase& db, BuiltinClass builtin) {
   switch (builtin) {
     case BuiltinClass::kInterval:
@@ -217,6 +222,75 @@ std::vector<ObjectId> DomainOf(const VideoDatabase& db, BuiltinClass builtin) {
       return {};
   }
   return {};
+}
+
+// The candidates one applicable source yields (see ClassSource), in
+// DomainOf order. Each is exact in the sense that every value it omits
+// fails the source's constraint, given the bindings of its input.
+std::vector<ObjectId> SourceCandidates(const VideoDatabase& db,
+                                       BuiltinClass builtin,
+                                       const ClassSource& source,
+                                       const BindingEnv& env) {
+  Value input;
+  bool defined = false;
+  // Resolved leniently, as the constraint will be (narrowing is off under
+  // strict types): an undefined input fails the constraint for every value.
+  if (!ResolveOperand(db, /*strict_types=*/false, source.input, env, &input,
+                      &defined)
+           .ok() ||
+      !defined) {
+    return {};
+  }
+  std::vector<ObjectId> out;
+  switch (source.kind) {
+    case ClassSource::Kind::kEntityIndex:
+      // An interval's `entities` holds entity oids only (SetAttribute
+      // validates it), so no interval lists a non-oid X.
+      if (input.is_oid()) out = db.IntervalsWithEntity(input.oid_value());
+      break;
+    case ClassSource::Kind::kSetMembers:
+      // `V in S` holds for an oid V only when S is a set holding V.
+      if (!input.is_set()) break;
+      for (const Value& member : input.set_elements()) {
+        if (member.is_oid() && InClass(db, member.oid_value(), builtin)) {
+          out.push_back(member.oid_value());
+        }
+      }
+      break;
+    case ClassSource::Kind::kTemporalIndex: {
+      // A non-empty duration inside W overlaps W; the empty one entails
+      // every W. A non-temporal W fails the entailment outright.
+      if (!input.is_temporal()) break;
+      out = db.IntervalsOverlapping(input.temporal_value());
+      const std::vector<ObjectId>& empty = db.IntervalsWithEmptyDuration();
+      out.insert(out.end(), empty.begin(), empty.end());
+      break;
+    }
+  }
+  // DomainOf order: by kind (ObjectKind lists entities, base intervals and
+  // derived intervals in that order), then by id, which creation assigns in
+  // increasing order.
+  std::vector<std::pair<ObjectKind, ObjectId>> keyed;
+  keyed.reserve(out.size());
+  for (ObjectId id : out) keyed.emplace_back(*db.KindOf(id), id);
+  std::sort(keyed.begin(), keyed.end());
+  for (size_t i = 0; i < keyed.size(); ++i) out[i] = keyed[i].second;
+  return out;
+}
+
+}  // namespace
+
+std::vector<ObjectId> ClassCandidates(const VideoDatabase& db,
+                                      bool strict_types,
+                                      const CompiledStep& step,
+                                      const BindingEnv& env) {
+  const ClassSource* source =
+      strict_types ? nullptr : step.FirstBoundSource([&env](int v) {
+        return env.IsBound(v);
+      });
+  return source != nullptr
+             ? SourceCandidates(db, step.literal.builtin, *source, env)
+             : DomainOf(db, step.literal.builtin);
 }
 
 }  // namespace eval_common

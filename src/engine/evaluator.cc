@@ -202,21 +202,6 @@ void Evaluator::AddSeedFacts(std::vector<Fact> facts) {
   for (Fact& f : facts) seed_facts_.push_back(std::move(f));
 }
 
-bool Evaluator::InClass(ObjectId id, BuiltinClass builtin) const {
-  return eval_common::InClass(*db_, id, builtin);
-}
-
-std::vector<ObjectId> Evaluator::DomainOf(
-    BuiltinClass builtin, const std::vector<ObjectId>* interval_delta) {
-  // Semi-naive rounds restrict interval-bearing classes to the round's
-  // newly materialized intervals; otherwise enumerate the full domain.
-  if (interval_delta != nullptr && builtin != BuiltinClass::kObject &&
-      builtin != BuiltinClass::kNone) {
-    return *interval_delta;
-  }
-  return eval_common::DomainOf(*db_, builtin);
-}
-
 Status Evaluator::MaterializeExtendedDomain() {
   // Def. 19: extend the current interval domain with all pairwise
   // concatenations. Materializing registers each new object, so repeated
@@ -346,30 +331,13 @@ Status Evaluator::EvalSteps(const CompiledRule& rule, size_t step_idx,
   };
 
   if (lit.builtin != BuiltinClass::kNone) {
-    const CompiledTerm& arg = lit.args[0];
+    // Semi-naive rounds restrict interval-bearing classes at the delta
+    // position to the previous round's newly materialized intervals.
     const std::vector<ObjectId>* domain_delta =
         (restricted && lit.builtin != BuiltinClass::kObject) ? interval_delta
                                                              : nullptr;
-    if (!arg.is_var || env->IsBound(arg.var)) {
-      const Value& v = arg.is_var ? env->Get(arg.var) : arg.value;
-      if (!v.is_oid() || !InClass(v.oid_value(), lit.builtin)) {
-        return Status::OK();
-      }
-      if (domain_delta != nullptr &&
-          std::find(domain_delta->begin(), domain_delta->end(),
-                    v.oid_value()) == domain_delta->end()) {
-        return Status::OK();
-      }
-      return proceed();
-    }
-    for (ObjectId id : DomainOf(lit.builtin, domain_delta)) {
-      if (!InClass(id, lit.builtin)) continue;
-      env->Bind(arg.var, Value::Oid(id));
-      Status st = proceed();
-      env->Unbind(arg.var);
-      VQLDB_RETURN_NOT_OK(st);
-    }
-    return Status::OK();
+    return eval_common::MatchClassLiteral(*db_, options_.strict_types, step,
+                                          domain_delta, env, proceed);
   }
 
   // Concrete-domain predicate (Def. 1): evaluate as a computable check over
@@ -554,6 +522,18 @@ void Evaluator::PrepareJoinIndexes(const Interpretation& full,
   }
 }
 
+bool Evaluator::ReadsTemporalIndex() const {
+  if (options_.strict_types) return false;  // class literals never narrow
+  for (const CompiledRule& rule : rules_) {
+    for (const CompiledStep& step : rule.steps) {
+      for (const ClassSource& source : step.class_sources) {
+        if (source.kind == ClassSource::Kind::kTemporalIndex) return true;
+      }
+    }
+  }
+  return false;
+}
+
 void Evaluator::EnsureProfileRules() {
   if (profile_.rules.size() == rules_.size()) return;
   profile_.rules.assign(rules_.size(), RuleProfile{});
@@ -684,8 +664,11 @@ Status Evaluator::RunRound(const std::vector<RuleTask>& tasks,
   VQLDB_RETURN_NOT_OK(CheckInterrupt());
 
   // Pre-build every join index the plans can probe so that worker threads
-  // only ever read the shared interpretations.
+  // only ever read the shared interpretations — and the database's temporal
+  // index, which class-literal steps read and which otherwise rebuilds
+  // lazily inside the first reader after a mutation.
   PrepareJoinIndexes(full, delta);
+  if (ReadsTemporalIndex()) db_->PrepareTemporalIndex();
 
   struct TaskResult {
     Interpretation out;

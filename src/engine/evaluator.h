@@ -8,7 +8,9 @@
 // pairwise concatenations of those intervals (materializing them on demand),
 // which is the literal Def. 21 semantics. The default leaves concatenation
 // materialization to constructive rule heads, which is how programs actually
-// create new sequences and keeps Interval() enumeration linear.
+// create new sequences and keeps Interval() enumeration linear. Where a
+// constraint of the rule allows, an unbound class literal enumerates only
+// the candidates an index yields (eval_common::MatchClassLiteral).
 //
 // Constructive heads (G1 ++ G2) call VideoDatabase::Concatenate, whose
 // constituent-set-canonical ids make (+) idempotent — the termination
@@ -261,6 +263,11 @@ class Evaluator {
   void PrepareJoinIndexes(const Interpretation& full,
                           const Interpretation* delta) const;
 
+  // True iff some compiled class-literal step can narrow through the
+  // database's temporal index, which RunRound then rebuilds before a
+  // parallel fan-out.
+  bool ReadsTemporalIndex() const;
+
   // Evaluates one rule against `full`, with literal `delta_pos` (if >= 0)
   // restricted to `delta`; emits derived facts through EmitHead into `out`.
   // Counters go to `stats` (a per-task block under parallel evaluation).
@@ -316,12 +323,7 @@ class Evaluator {
   Status ResolveOperand(const CompiledOperand& operand,
                         const class BindingEnv& env, Value* out, bool* defined);
 
-  // Enumerate the object domain of a builtin class literal.
-  std::vector<ObjectId> DomainOf(BuiltinClass builtin,
-                                 const std::vector<ObjectId>* interval_delta);
   Status MaterializeExtendedDomain();
-
-  bool InClass(ObjectId id, BuiltinClass builtin) const;
 
   // Sizes profile_.rules to the rule set (labels deduplicated); no-op when
   // already sized.

@@ -119,10 +119,10 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
   // relational, non-computable body literal's relation. (Head predicates
   // may hold stored facts too — e.g. a derived relation also asserted as
   // data — so they load as well.) Governed and observed like the bottom-up
-  // engine's interpretations: stored rows charge the budget, and inserted
-  // rows feed the statistics sketches.
+  // engine's interpretations: stored rows charge the budget, and derived
+  // rows feed the statistics sketches. Observation starts after the load:
+  // VideoDatabase::AssertFact already recorded every stored row.
   memo_.set_budget(options_.budget);
-  memo_.set_observed(true);
   std::set<std::string> edb_preds = {goal_pred_};
   for (const Rule& rule : cone) {
     edb_preds.insert(rule.head.predicate);
@@ -139,6 +139,7 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
   for (const std::string& pred : edb_preds) {
     for (const Fact& fact : db_.FactsFor(pred)) memo_.Add(fact);
   }
+  memo_.set_observed(true);
   return CheckInterrupt();
 }
 
@@ -240,22 +241,9 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
   };
 
   if (lit.builtin != BuiltinClass::kNone) {
-    const CompiledTerm& arg = lit.args[0];
-    if (!arg.is_var || env->IsBound(arg.var)) {
-      const Value& v = arg.is_var ? env->Get(arg.var) : arg.value;
-      if (!v.is_oid() || !eval_common::InClass(db_, v.oid_value(),
-                                               lit.builtin)) {
-        return Status::OK();
-      }
-      return proceed();
-    }
-    for (ObjectId id : eval_common::DomainOf(db_, lit.builtin)) {
-      env->Bind(arg.var, Value::Oid(id));
-      Status st = proceed();
-      env->Unbind(arg.var);
-      VQLDB_RETURN_NOT_OK(st);
-    }
-    return Status::OK();
+    return eval_common::MatchClassLiteral(db_, options_.strict_types, step,
+                                          /*restrict_to=*/nullptr, env,
+                                          proceed);
   }
 
   if (options_.concrete_domain != nullptr &&

@@ -227,6 +227,45 @@ bool ApplyOrderer(const LiteralOrderer& orderer,
   return true;
 }
 
+// The class sources of an unbound class literal over variable slot `v`:
+// every constraint shaped like one of ClassSource's kinds whose other side
+// does not mention `v`. `written` and `compiled` are the rule's constraints
+// in source order, before and after compilation.
+std::vector<ClassSource> ClassSourcesFor(
+    BuiltinClass builtin, int v, const std::vector<ConstraintExpr>& written,
+    const std::vector<CompiledConstraint>& compiled) {
+  auto mentions_v = [v](const CompiledOperand& op) {
+    return std::find(op.vars.begin(), op.vars.end(), v) != op.vars.end();
+  };
+  auto is_v_attribute = [v](const CompiledOperand& op, const char* attribute) {
+    return op.kind == CompiledOperand::Kind::kAccess && op.base_is_var &&
+           op.var == v && op.attribute == attribute;
+  };
+  std::vector<ClassSource> lookups;
+  std::vector<ClassSource> ranges;
+  for (size_t i = 0; i < compiled.size(); ++i) {
+    const CompiledConstraint& c = compiled[i];
+    if (c.kind == ConstraintExpr::Kind::kMembership &&
+        builtin == BuiltinClass::kInterval &&
+        is_v_attribute(c.rhs, kAttrEntities) && !mentions_v(c.lhs)) {
+      lookups.push_back({ClassSource::Kind::kEntityIndex, c.lhs,
+                         written[i].lhs.ToString()});
+    } else if (c.kind == ConstraintExpr::Kind::kMembership &&
+               c.lhs.kind == CompiledOperand::Kind::kVar && c.lhs.var == v &&
+               !mentions_v(c.rhs)) {
+      lookups.push_back({ClassSource::Kind::kSetMembers, c.rhs,
+                         written[i].rhs.ToString()});
+    } else if (c.kind == ConstraintExpr::Kind::kEntails &&
+               builtin == BuiltinClass::kInterval &&
+               is_v_attribute(c.lhs, kAttrDuration) && !mentions_v(c.rhs)) {
+      ranges.push_back({ClassSource::Kind::kTemporalIndex, c.rhs,
+                        written[i].rhs.ToString()});
+    }
+  }
+  lookups.insert(lookups.end(), ranges.begin(), ranges.end());
+  return lookups;
+}
+
 }  // namespace
 
 Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
@@ -286,6 +325,7 @@ Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
     std::set<int> needed;
   };
   std::vector<PendingConstraint> pending;
+  std::vector<CompiledConstraint> constraints;
   for (const ConstraintExpr& c : rule.constraints) {
     PendingConstraint pc;
     pc.compiled.kind = c.kind;
@@ -295,6 +335,7 @@ Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
     VQLDB_ASSIGN_OR_RETURN(pc.compiled.rhs, ctx.CompileOperand(c.rhs));
     for (int v : pc.compiled.lhs.vars) pc.needed.insert(v);
     for (int v : pc.compiled.rhs.vars) pc.needed.insert(v);
+    constraints.push_back(pc.compiled);
     pending.push_back(std::move(pc));
   }
 
@@ -322,6 +363,11 @@ Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
     step.merge_eligible = lit.builtin == BuiltinClass::kNone &&
                           step.bound_mask != 0 &&
                           (step.bound_mask & (step.bound_mask + 1)) == 0;
+    if (lit.builtin != BuiltinClass::kNone && lit.args[0].is_var &&
+        !bound.count(lit.args[0].var)) {
+      step.class_sources = ClassSourcesFor(lit.builtin, lit.args[0].var,
+                                           rule.constraints, constraints);
+    }
     for (const CompiledTerm& t : lit.args) {
       if (t.is_var) bound.insert(t.var);
     }
@@ -373,7 +419,8 @@ Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
   return out;
 }
 
-std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled) {
+std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled,
+                        bool strict_types) {
   std::ostringstream os;
   os << "rule " << (rule.name.empty() ? rule.head_predicate : rule.name)
      << " (" << rule.num_vars << " variable"
@@ -397,7 +444,23 @@ std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled) {
       bool arg_bound = !arg.is_var || bound.count(arg.var);
       os << (arg_bound ? "check " : "enumerate ") << lit.predicate << "("
          << term_name(arg) << ")";
-      if (!arg_bound) os << "  [scan object domain]";
+      if (!arg_bound) {
+        // The engines' choice when the source's input is a constant or
+        // bound by an earlier step; none under strict types.
+        const ClassSource* source =
+            strict_types ? nullptr : step.FirstBoundSource([&](int v) {
+              return bound.count(v) > 0;
+            });
+        if (source == nullptr) {
+          os << "  [scan object domain]";
+        } else if (source->kind == ClassSource::Kind::kEntityIndex) {
+          os << "  [entity index on " << source->input_text << "]";
+        } else if (source->kind == ClassSource::Kind::kSetMembers) {
+          os << "  [members of " << source->input_text << "]";
+        } else {
+          os << "  [temporal index on " << source->input_text << "]";
+        }
+      }
     } else {
       os << "match " << lit.predicate << "(";
       for (size_t a = 0; a < lit.args.size(); ++a) {

@@ -5,12 +5,15 @@
 //     convention: the author controls the join order), and each constraint
 //     is scheduled immediately after the earliest literal prefix that binds
 //     all of its variables;
+//   * each unbound builtin class literal records the constraints that can
+//     narrow its enumeration (ClassSource);
 //   * the head is compiled to an emission template, including constructive
 //     (++) concatenation terms.
 
 #ifndef VQLDB_ENGINE_RULE_COMPILER_H_
 #define VQLDB_ENGINE_RULE_COMPILER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,6 +74,24 @@ struct CompiledConstraint {
   std::string source;  // original text, for error messages
 };
 
+/// A narrower candidate source for the variable V of an unbound builtin
+/// class literal, read off a constraint of the same rule. Each kind yields a
+/// superset of the values that can satisfy its constraint:
+///   kEntityIndex   `X in V.entities` (Interval(V) only): the intervals
+///                  VideoDatabase::IntervalsWithEntity(X) lists;
+///   kSetMembers    `V in S`: the oid members of S in V's class;
+///   kTemporalIndex `V.duration => W` (Interval(V) only): the intervals
+///                  whose duration overlaps W, plus those whose duration is
+///                  empty.
+/// `input` is the constraint's other side (X, S or W); the source applies
+/// once every variable in `input.vars` is bound.
+struct ClassSource {
+  enum class Kind { kEntityIndex, kSetMembers, kTemporalIndex };
+  Kind kind = Kind::kEntityIndex;
+  CompiledOperand input;
+  std::string input_text;  // the input as written, for EXPLAIN
+};
+
 /// One execution step: match a literal, then check any constraints that have
 /// just become fully bound.
 struct CompiledStep {
@@ -89,6 +110,24 @@ struct CompiledStep {
   /// a merge join instead of building a hash index; with merge joins
   /// disabled (or for ineligible steps) it falls back to LookupMulti.
   bool merge_eligible = false;
+  /// For a builtin class literal whose variable no earlier step binds: the
+  /// sources that can narrow its enumeration, index lookups before temporal
+  /// ranges and otherwise in constraint order.
+  std::vector<ClassSource> class_sources;
+
+  /// The source the engines narrow through (eval_common::ClassCandidates)
+  /// and EXPLAIN names: the first whose input variables all satisfy
+  /// `is_bound`, or nullptr.
+  template <typename IsBound>
+  const ClassSource* FirstBoundSource(IsBound&& is_bound) const {
+    for (const ClassSource& source : class_sources) {
+      if (std::all_of(source.input.vars.begin(), source.input.vars.end(),
+                      is_bound)) {
+        return &source;
+      }
+    }
+    return nullptr;
+  }
 };
 
 /// A compiled head term: constant, variable, or concatenation of slots.
@@ -164,12 +203,14 @@ class RuleCompiler {
 
 /// Renders the executable plan of a compiled rule — step order, the access
 /// path each literal will use (merge join vs. hash index probe vs. scan vs.
-/// domain enumeration), and where each constraint is checked. The EXPLAIN
-/// facility behind the shell's `.explain` command. `merge_join_enabled`
-/// mirrors EvalOptions::merge_join so the rendered strategy matches what the
-/// evaluator will actually run.
+/// class-literal source vs. domain enumeration), and where each constraint
+/// is checked. The EXPLAIN facility behind the shell's `.explain` command.
+/// `merge_join_enabled` and `strict_types` mirror the EvalOptions fields of
+/// the same names so the rendered strategy matches what the engines will
+/// actually run.
 std::string ExplainRule(const CompiledRule& rule,
-                        bool merge_join_enabled = true);
+                        bool merge_join_enabled = true,
+                        bool strict_types = false);
 
 }  // namespace vqldb
 

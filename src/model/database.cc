@@ -439,17 +439,31 @@ void VideoDatabase::RebuildTemporalIndexIfDirty() const {
       "vqldb_temporal_index_rebuilds_total",
       "Lazy temporal-index rebuilds triggered by dirty reads");
   rebuilds->Increment();
+  auto duration_of = [this](ObjectId id) -> const IntervalSet* {
+    const Value* v = objects_.at(id).FindAttribute(kAttrDuration);
+    return v != nullptr && v->is_temporal() ? &v->temporal_value() : nullptr;
+  };
+  // Sized exactly: the index stays resident as long as the database (each
+  // snapshot clone that answers a temporal read keeps one), and so would
+  // any growth slack.
+  const std::vector<ObjectId> intervals = AllIntervals();
+  size_t fragments = 0;
+  for (ObjectId id : intervals) {
+    if (const IntervalSet* d = duration_of(id)) {
+      fragments += d->fragments().size();
+    }
+  }
   temporal_index_.clear();
-  auto add = [this](ObjectId id) {
-    const VideoObject& obj = objects_.at(id);
-    const Value* v = obj.FindAttribute(kAttrDuration);
-    if (v == nullptr || !v->is_temporal()) return;
-    for (const TimeInterval& iv : v->temporal_value().fragments()) {
+  temporal_index_.reserve(fragments);
+  empty_durations_.clear();
+  for (ObjectId id : intervals) {
+    const IntervalSet* d = duration_of(id);
+    if (d == nullptr) continue;
+    if (d->IsEmpty()) empty_durations_.push_back(id);
+    for (const TimeInterval& iv : d->fragments()) {
       temporal_index_.push_back(TemporalEntry{iv.lo(), iv.hi(), id});
     }
-  };
-  for (ObjectId id : base_intervals_) add(id);
-  for (ObjectId id : derived_intervals_) add(id);
+  }
   std::sort(temporal_index_.begin(), temporal_index_.end(),
             [](const TemporalEntry& a, const TemporalEntry& b) {
               if (a.begin != b.begin) return a.begin < b.begin;
@@ -528,6 +542,12 @@ std::vector<ObjectId> VideoDatabase::IntervalsWithEntity(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+const std::vector<ObjectId>& VideoDatabase::IntervalsWithEmptyDuration()
+    const {
+  RebuildTemporalIndexIfDirty();
+  return empty_durations_;
 }
 
 Status VideoDatabase::Validate() const {

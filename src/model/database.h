@@ -181,6 +181,18 @@ class VideoDatabase {
   /// the Fig. 3 single-identifier lookup).
   std::vector<ObjectId> IntervalsWithEntity(ObjectId entity) const;
 
+  /// All intervals whose duration is the empty point set, base intervals
+  /// first, each in creation order. They have no fragment in the temporal
+  /// index, yet the empty set entails every constraint. Maintained with the
+  /// temporal index.
+  const std::vector<ObjectId>& IntervalsWithEmptyDuration() const;
+
+  /// Rebuilds the temporal index now if a mutation dirtied it. The temporal
+  /// readers above rebuild lazily, from inside const calls; a caller that
+  /// is about to run such readers on several threads calls this first, so
+  /// that they only read.
+  void PrepareTemporalIndex() { RebuildTemporalIndexIfDirty(); }
+
   // -------------------------------------------------------------- integrity
 
   /// Full integrity check of the 7-tuple invariants: every interval has a
@@ -256,6 +268,7 @@ class VideoDatabase {
   };
   mutable std::vector<TemporalEntry> temporal_index_;
   mutable std::vector<double> temporal_prefix_max_end_;
+  mutable std::vector<ObjectId> empty_durations_;
   mutable bool temporal_dirty_ = false;
   mutable size_t temporal_rebuilds_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/qsqr.h"
 #include "src/engine/query.h"
 #include "src/lang/parser.h"
 
@@ -182,6 +183,98 @@ TEST(ConstructiveRulesTest, NonIntervalConcatOperandSkipsValuation) {
   ASSERT_TRUE(fp.ok()) << fp.status();
   // Only the interval-interval pair produces a head.
   EXPECT_EQ(fp->FactsFor("cat").size(), 1u);
+}
+
+// Entities o and p, base intervals g0..g2 holding o (g1 also p), their
+// concatenations, then one more base interval `late` holding both. `late`
+// has the largest id, yet the object domain lists it before every derived
+// interval (base intervals first, each kind in creation order).
+void SeedInterleavedDomain(VideoDatabase* db) {
+  ObjectId o = *db->CreateEntity("o");
+  ObjectId p = *db->CreateEntity("p");
+  SeedIntervals(db, 3);
+  for (ObjectId g : db->BaseIntervals()) {
+    ASSERT_TRUE(db->AddEntityToInterval(g, o).ok());
+  }
+  ASSERT_TRUE(db->AddEntityToInterval(*db->Resolve("g1"), p).ok());
+  auto seed = Evaluator::Make(
+      db, {R("cat(G1 ++ G2) <- Interval(G1), Interval(G2), o in G1.entities, "
+             "o in G2.entities, G1 != G2.")});
+  ASSERT_TRUE(seed.ok());
+  ASSERT_TRUE(seed->Fixpoint().ok());
+  ASSERT_GT(db->derived_interval_count(), 0u);
+  ObjectId late =
+      *db->CreateInterval("late", GeneralizedInterval::Single(0, 30));
+  ASSERT_TRUE(db->AddEntityToInterval(late, o).ok());
+  ASSERT_TRUE(db->AddEntityToInterval(late, p).ok());
+}
+
+std::vector<std::string> Render(const std::vector<Fact>& facts) {
+  std::vector<std::string> out;
+  for (const Fact& f : facts) out.push_back(f.ToString());
+  return out;
+}
+
+TEST(ConstructiveRulesTest, NarrowedEnumerationKeepsDomainOrder) {
+  // Index-narrowed class literals must visit their candidates in the order
+  // the full-domain scan would, so fact insertion order and the ids of the
+  // intervals a constructive head materializes do not change. Strict types
+  // turn narrowing off, which gives the scan to compare against.
+  const std::vector<Rule> rules = {
+      R("has(G) <- Interval(G), o in G.entities."),
+      R("who(O, G) <- Interval(G), Object(O), O in G.entities."),
+      R("inside(G1, G2) <- Interval(G1), Interval(G2), "
+        "G2.duration => G1.duration."),
+      R("pair(G1 ++ G2) <- has(G1), Interval(G2), p in G2.entities, "
+        "G2.duration => G1.duration."),
+  };
+  struct Run {
+    std::vector<std::string> facts;
+    std::vector<std::vector<ObjectId>> derived;  // constituents, by creation
+  };
+  auto fixpoint = [&](bool strict) {
+    Run run;
+    VideoDatabase db;
+    SeedInterleavedDomain(&db);
+    EvalOptions options;
+    options.strict_types = strict;
+    auto eval = Evaluator::Make(&db, rules, options);
+    EXPECT_TRUE(eval.ok()) << eval.status();
+    auto fp = eval->Fixpoint();
+    EXPECT_TRUE(fp.ok()) << fp.status();
+    if (!fp.ok()) return run;
+    run.facts = Render(fp->AllFacts());
+    for (ObjectId id : db.DerivedIntervals()) {
+      run.derived.push_back(*db.BaseIdsOf(id));
+    }
+    return run;
+  };
+  Run narrowed = fixpoint(false);
+  Run scanned = fixpoint(true);
+  EXPECT_FALSE(narrowed.facts.empty());
+  EXPECT_EQ(narrowed.facts, scanned.facts);
+  EXPECT_EQ(narrowed.derived, scanned.derived);
+
+  // QSQR's memo, whose source narrows on the goal's constants at run time.
+  const std::vector<Rule> readers(rules.begin(), rules.begin() + 3);
+  for (const char* goal :
+       {"?- has(G).", "?- who(o, G).", "?- inside(late, G)."}) {
+    auto memo = [&](bool strict) {
+      VideoDatabase db;
+      SeedInterleavedDomain(&db);
+      EvalOptions options;
+      options.strict_types = strict;
+      auto query = Parser::ParseQuery(goal);
+      EXPECT_TRUE(query.ok());
+      auto result = QsqrEvaluator::Run(*query, readers, db, options);
+      EXPECT_TRUE(result.ok() && result->applied) << goal;
+      return result.ok() ? Render(result->memo.AllFacts())
+                         : std::vector<std::string>{};
+    };
+    std::vector<std::string> narrowed_memo = memo(false);
+    EXPECT_FALSE(narrowed_memo.empty()) << goal;
+    EXPECT_EQ(narrowed_memo, memo(true)) << goal;
+  }
 }
 
 }  // namespace

@@ -1,17 +1,28 @@
 // Differential testing: an independent, brute-force reference interpreter
 // (ground every rule by enumerating all substitutions over the active
-// domain, iterate to fixpoint) checked against the production evaluator on
+// domain, iterate to fixpoint) checked against the production engines on
 // random programs. The two implementations share no evaluation code, so
 // agreement is strong evidence of correctness.
+//
+// The random databases hold entities and generalized intervals with random
+// entity sets and durations (empty, one closed piece, two pieces, open and
+// unbounded ends), and the rule templates cover the class-literal fragment
+// the engines narrow through indexes: Interval(G), `X in G.entities`,
+// `O in G.entities` and `G2.duration => G1.duration`. A source that dropped
+// a satisfying interval would show up here as a missing answer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/engine/evaluator.h"
+#include "src/engine/query.h"
 #include "src/lang/parser.h"
 
 namespace vqldb {
@@ -22,14 +33,65 @@ namespace {
 // A ground fact for the oracle: predicate plus oid arguments only.
 using GroundFact = std::pair<std::string, std::vector<uint64_t>>;
 
+// One piece of a duration: bounds (possibly infinite) and their openness.
+struct Piece {
+  double lo;
+  double hi;
+  bool lo_open;
+  bool hi_open;
+
+  bool Contains(double t) const {
+    bool above = lo_open ? t > lo : t >= lo;
+    bool below = hi_open ? t < hi : t <= hi;
+    return above && below;
+  }
+};
+
+// Every bound the generator draws is an integer in [0, kHorizon], so
+// membership is constant on each open unit gap and beyond both ends: the
+// integers and half-integers of [-1, kHorizon + 1] decide every inclusion.
+constexpr int kHorizon = 20;
+
+// The reference model of one database: entities, and for each interval its
+// entity set and duration pieces (no pieces = the empty duration).
+struct Model {
+  std::set<uint64_t> entities;
+  std::map<uint64_t, std::set<uint64_t>> members;  // interval -> entities
+  std::map<uint64_t, std::vector<Piece>> durations;
+
+  bool IsInterval(uint64_t id) const { return durations.count(id) > 0; }
+
+  static bool Covers(const std::vector<Piece>& pieces, double t) {
+    for (const Piece& p : pieces) {
+      if (p.Contains(t)) return true;
+    }
+    return false;
+  }
+
+  // duration(a) is a subset of duration(b).
+  bool Entails(uint64_t a, uint64_t b) const {
+    for (int k = -2; k <= 2 * (kHorizon + 1); ++k) {
+      double t = k / 2.0;
+      if (Covers(durations.at(a), t) && !Covers(durations.at(b), t)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 // Evaluates one rule body under a substitution; the oracle supports the
 // fragment the random generator emits: relational literals, Object(),
-// equality/disequality between variables.
+// Interval(), equality/disequality between variables, `X in G.entities`
+// and `G2.duration => G1.duration`.
 class Oracle {
  public:
   Oracle(const std::vector<Rule>& rules, std::set<GroundFact> edb,
-         std::vector<uint64_t> domain)
-      : rules_(rules), facts_(std::move(edb)), domain_(std::move(domain)) {}
+         const Model& model, std::vector<uint64_t> domain)
+      : rules_(rules),
+        facts_(std::move(edb)),
+        model_(model),
+        domain_(std::move(domain)) {}
 
   const std::set<GroundFact>& Fixpoint() {
     bool changed = true;
@@ -37,7 +99,7 @@ class Oracle {
       changed = false;
       for (const Rule& rule : rules_) {
         std::map<std::string, uint64_t> subst;
-        changed |= Fire(rule, 0, &subst);
+        changed |= Fire(rule, VariablesOf(rule), 0, &subst);
       }
     }
     return facts_;
@@ -45,9 +107,8 @@ class Oracle {
 
  private:
   // Enumerates substitutions for the rule's variables in order.
-  bool Fire(const Rule& rule, size_t var_index,
-            std::map<std::string, uint64_t>* subst) {
-    std::vector<std::string> vars = VariablesOf(rule);
+  bool Fire(const Rule& rule, const std::vector<std::string>& vars,
+            size_t var_index, std::map<std::string, uint64_t>* subst) {
     if (var_index == vars.size()) {
       if (!BodyHolds(rule, *subst)) return false;
       GroundFact head = Ground(rule.head, *subst);
@@ -58,7 +119,7 @@ class Oracle {
     bool changed = false;
     for (uint64_t value : domain_) {
       (*subst)[vars[var_index]] = value;
-      changed |= Fire(rule, var_index + 1, subst);
+      changed |= Fire(rule, vars, var_index + 1, subst);
     }
     return changed;
   }
@@ -77,21 +138,47 @@ class Oracle {
   bool BodyHolds(const Rule& rule,
                  const std::map<std::string, uint64_t>& subst) {
     for (const Atom& atom : rule.body) {
-      if (atom.predicate == kPredObject) continue;  // domain = all entities
-      if (!facts_.count(Ground(atom, subst))) return false;
+      uint64_t first = atom.args.empty() ? 0 : subst.at(atom.args[0].variable);
+      if (atom.predicate == kPredObject) {
+        if (!model_.entities.count(first)) return false;
+      } else if (atom.predicate == kPredInterval) {
+        if (!model_.IsInterval(first)) return false;
+      } else if (!facts_.count(Ground(atom, subst))) {
+        return false;
+      }
     }
     for (const ConstraintExpr& c : rule.constraints) {
-      VQLDB_CHECK(c.kind == ConstraintExpr::Kind::kCompare);
       uint64_t lhs = subst.at(c.lhs.term.variable);
       uint64_t rhs = subst.at(c.rhs.term.variable);
-      if (c.op == CompareOp::kEq && lhs != rhs) return false;
-      if (c.op == CompareOp::kNe && lhs == rhs) return false;
+      switch (c.kind) {
+        case ConstraintExpr::Kind::kCompare:
+          if (c.op == CompareOp::kEq && lhs != rhs) return false;
+          if (c.op == CompareOp::kNe && lhs == rhs) return false;
+          break;
+        case ConstraintExpr::Kind::kMembership:  // lhs in rhs.entities
+          VQLDB_CHECK(c.rhs.attribute == kAttrEntities);
+          if (!model_.IsInterval(rhs) || !model_.members.at(rhs).count(lhs)) {
+            return false;
+          }
+          break;
+        case ConstraintExpr::Kind::kEntails:  // lhs.duration => rhs.duration
+          VQLDB_CHECK(c.lhs.attribute == kAttrDuration &&
+                      c.rhs.attribute == kAttrDuration);
+          if (!model_.IsInterval(lhs) || !model_.IsInterval(rhs) ||
+              !model_.Entails(lhs, rhs)) {
+            return false;
+          }
+          break;
+        default:
+          VQLDB_CHECK(false);
+      }
     }
     return true;
   }
 
   const std::vector<Rule>& rules_;
   std::set<GroundFact> facts_;
+  const Model& model_;
   std::vector<uint64_t> domain_;
 };
 
@@ -100,20 +187,105 @@ class Oracle {
 struct Scenario {
   std::unique_ptr<VideoDatabase> db;
   std::vector<Rule> rules;
-  std::vector<uint64_t> domain;
+  std::vector<uint64_t> domain;  // every object id
+  std::vector<std::string> symbols;  // every object's symbol
+  std::vector<ObjectId> entities;
   std::set<GroundFact> edb;
+  Model model;
+  size_t next_interval = 0;
 };
+
+// The rules over entities (d0, d1) and the class-literal fragment:
+// appearances a2(entity, interval) and containments c3(interval, interval),
+// in the orders that exercise every source: the entity index (with its
+// input bound by an earlier step, or only by a QSQR call's head), the
+// members of G.entities and the temporal index.
+constexpr const char* kTemplates[] = {
+    "d0(X, Y) <- e(X, Y).",
+    "d0(X, Y) <- f(Y, X).",
+    "d0(X, Z) <- d0(X, Y), e(Y, Z).",
+    "d1(X, Y) <- e(X, Y), f(X, Y).",
+    "d1(X, Y) <- d0(X, Y), X != Y.",
+    "d0(X, Y) <- d1(X, Y), d1(Y, X).",
+    "d1(X, X) <- e(X, Y), Object(X).",
+    "d0(X, Y) <- d1(X, Z), f(Z, Y).",
+    "a2(O, G) <- Interval(G), Object(O), O in G.entities.",
+    "a2(X, G) <- d0(X, Y), Interval(G), X in G.entities.",
+    "a2(O, G) <- Interval(G), e(O, Y), O in G.entities.",
+    "c3(G1, G2) <- Interval(G1), Interval(G2), G2.duration => G1.duration.",
+    "c3(G1, G2) <- a2(O, G1), Interval(G2), O in G2.entities, "
+    "G2.duration => G1.duration.",
+    "d1(X, Y) <- a2(X, G), Object(Y), Y in G.entities, X != Y.",
+    "d0(X, Y) <- c3(G1, G2), Object(X), Object(Y), X in G1.entities, "
+    "Y in G2.entities.",
+};
+constexpr size_t kNumTemplates = sizeof(kTemplates) / sizeof(kTemplates[0]);
+
+// A random duration: empty, one closed piece, two pieces, or one piece with
+// open or unbounded ends, all bounds integers in [0, kHorizon].
+std::vector<Piece> RandomDuration(Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto point = [&] {
+    return static_cast<double>(rng->UniformU64(kHorizon + 1));
+  };
+  double a = point();
+  double b = point();
+  if (a > b) std::swap(a, b);
+  switch (rng->UniformU64(6)) {
+    case 0:
+      return {};
+    case 1:
+      return {{a, b, false, false}};
+    case 2: {
+      double c = std::min<double>(b + 1 + rng->UniformU64(4), kHorizon);
+      double d = std::min<double>(c + rng->UniformU64(4), kHorizon);
+      if (c <= b) return {{a, b, false, false}};
+      return {{a, b, false, false}, {c, d, false, false}};
+    }
+    case 3:
+      if (a == b) return {{a, b, false, false}};
+      return {{a, b, rng->Bernoulli(0.5), rng->Bernoulli(0.5)}};
+    case 4:
+      return {{a, inf, rng->Bernoulli(0.5), true}};
+    default:
+      return {{-inf, b, true, rng->Bernoulli(0.5)}};
+  }
+}
+
+// Adds one random interval to the database and the model.
+void AddRandomInterval(Scenario* s, Rng* rng) {
+  std::vector<Piece> pieces = RandomDuration(rng);
+  std::vector<TimeInterval> fragments;
+  for (const Piece& p : pieces) {
+    fragments.emplace_back(p.lo, p.lo_open, p.hi, p.hi_open);
+  }
+  std::string symbol = "g" + std::to_string(s->next_interval++);
+  ObjectId id = *s->db->CreateInterval(symbol, IntervalSet(fragments));
+  std::set<uint64_t> members;
+  size_t cast = rng->UniformU64(4);
+  for (size_t k = 0; k < cast; ++k) {
+    ObjectId e = s->entities[rng->UniformU64(s->entities.size())];
+    VQLDB_CHECK_OK(s->db->AddEntityToInterval(id, e));
+    members.insert(e.raw);
+  }
+  s->model.members[id.raw] = std::move(members);
+  s->model.durations[id.raw] = std::move(pieces);
+  s->domain.push_back(id.raw);
+  s->symbols.push_back(symbol);
+}
 
 Scenario RandomScenario(uint64_t seed) {
   Rng rng(seed);
   Scenario s;
   s.db = std::make_unique<VideoDatabase>();
   size_t n = 3 + rng.UniformU64(3);
-  std::vector<ObjectId> entities;
   for (size_t i = 0; i < n; ++i) {
-    ObjectId id = *s.db->CreateEntity("c" + std::to_string(i));
-    entities.push_back(id);
+    std::string symbol = "c" + std::to_string(i);
+    ObjectId id = *s.db->CreateEntity(symbol);
+    s.entities.push_back(id);
+    s.model.entities.insert(id.raw);
     s.domain.push_back(id.raw);
+    s.symbols.push_back(symbol);
   }
   auto assert_fact = [&](const std::string& rel, ObjectId a, ObjectId b) {
     VQLDB_CHECK_OK(s.db->AssertFact(rel, {Value::Oid(a), Value::Oid(b)}));
@@ -121,26 +293,23 @@ Scenario RandomScenario(uint64_t seed) {
   };
   for (size_t i = 0; i < 2 * n; ++i) {
     assert_fact(rng.Bernoulli(0.5) ? "e" : "f",
-                entities[rng.UniformU64(n)], entities[rng.UniformU64(n)]);
+                s.entities[rng.UniformU64(n)], s.entities[rng.UniformU64(n)]);
   }
+  size_t m = 3 + rng.UniformU64(4);
+  for (size_t i = 0; i < m; ++i) AddRandomInterval(&s, &rng);
 
-  const char* templates[] = {
-      "d0(X, Y) <- e(X, Y).",
-      "d0(X, Y) <- f(Y, X).",
-      "d0(X, Z) <- d0(X, Y), e(Y, Z).",
-      "d1(X, Y) <- e(X, Y), f(X, Y).",
-      "d1(X, Y) <- d0(X, Y), X != Y.",
-      "d0(X, Y) <- d1(X, Y), d1(Y, X).",
-      "d1(X, X) <- e(X, Y), Object(X).",
-      "d0(X, Y) <- d1(X, Z), f(Z, Y).",
-  };
   size_t num_rules = 2 + rng.UniformU64(5);
   for (size_t i = 0; i < num_rules; ++i) {
-    auto rule = Parser::ParseRule(templates[rng.UniformU64(8)]);
+    auto rule = Parser::ParseRule(kTemplates[rng.UniformU64(kNumTemplates)]);
     VQLDB_CHECK(rule.ok());
     s.rules.push_back(*rule);
   }
   return s;
+}
+
+std::set<GroundFact> ReferenceFixpoint(const Scenario& s) {
+  Oracle oracle(s.rules, s.edb, s.model, s.domain);
+  return oracle.Fixpoint();
 }
 
 std::set<GroundFact> ToGround(const Interpretation& interp) {
@@ -158,9 +327,7 @@ class DifferentialOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialOracleTest, EngineMatchesBruteForceReference) {
   Scenario s = RandomScenario(GetParam());
-
-  Oracle oracle(s.rules, s.edb, s.domain);
-  const std::set<GroundFact>& expected = oracle.Fixpoint();
+  std::set<GroundFact> expected = ReferenceFixpoint(s);
 
   auto eval = Evaluator::Make(s.db.get(), s.rules);
   ASSERT_TRUE(eval.ok());
@@ -173,8 +340,7 @@ TEST_P(DifferentialOracleTest, EngineMatchesBruteForceReference) {
 
 TEST_P(DifferentialOracleTest, NaiveModeAlsoMatches) {
   Scenario s = RandomScenario(GetParam() + 777);
-  Oracle oracle(s.rules, s.edb, s.domain);
-  const std::set<GroundFact>& expected = oracle.Fixpoint();
+  std::set<GroundFact> expected = ReferenceFixpoint(s);
 
   EvalOptions options;
   options.semi_naive = false;
@@ -183,6 +349,127 @@ TEST_P(DifferentialOracleTest, NaiveModeAlsoMatches) {
   auto fp = eval->Fixpoint();
   ASSERT_TRUE(fp.ok());
   EXPECT_EQ(ToGround(*fp), expected) << "seed " << GetParam();
+}
+
+// ------------------------------------------------- strategies and goals
+
+// One answer row as raw oids, in the goal's column order.
+using Row = std::vector<uint64_t>;
+
+// The reference answers to `pred(a0, a1)`, where an argument is a constant
+// oid or, when absent, a variable; a repeated variable is `same`.
+std::set<Row> ReferenceAnswers(const std::set<GroundFact>& fixpoint,
+                               const std::string& pred,
+                               std::optional<uint64_t> a0,
+                               std::optional<uint64_t> a1, bool same) {
+  std::set<Row> out;
+  for (const GroundFact& f : fixpoint) {
+    if (f.first != pred) continue;
+    if (a0.has_value() && f.second[0] != *a0) continue;
+    if (a1.has_value() && f.second[1] != *a1) continue;
+    if (same && f.second[0] != f.second[1]) continue;
+    Row row;
+    if (!a0.has_value()) row.push_back(f.second[0]);
+    if (!a1.has_value() && !same) row.push_back(f.second[1]);
+    out.insert(std::move(row));
+  }
+  return out;
+}
+
+std::set<Row> ToRows(const QueryResult& result) {
+  std::set<Row> out;
+  for (const std::vector<Value>& values : result.rows) {
+    Row row;
+    for (const Value& v : values) row.push_back(v.oid_value().raw);
+    out.insert(std::move(row));
+  }
+  return out;
+}
+
+// Asks every predicate under free, half-bound, bound and repeated-variable
+// goals with each forced strategy, and compares with the reference.
+void CheckGoals(const Scenario& s, QuerySession* session, uint64_t seed,
+                const std::set<GroundFact>& fixpoint) {
+  Rng rng(seed * 7919 + 13);
+  auto pick = [&] { return rng.UniformU64(s.domain.size()); };
+  for (const char* pred : {"d0", "d1", "a2", "c3"}) {
+    size_t i = pick();
+    size_t j = pick();
+    struct Goal {
+      std::string text;
+      std::optional<uint64_t> a0, a1;
+      bool same;
+    };
+    const std::string p(pred);
+    const Goal goals[] = {
+        {p + "(X, Y)", std::nullopt, std::nullopt, false},
+        {p + "(" + s.symbols[i] + ", Y)", s.domain[i], std::nullopt, false},
+        {p + "(X, " + s.symbols[j] + ")", std::nullopt, s.domain[j], false},
+        {p + "(" + s.symbols[i] + ", " + s.symbols[j] + ")", s.domain[i],
+         s.domain[j], false},
+        {p + "(X, X)", std::nullopt, std::nullopt, true},
+    };
+    for (const Goal& goal : goals) {
+      std::set<Row> expected =
+          ReferenceAnswers(fixpoint, pred, goal.a0, goal.a1, goal.same);
+      for (EvalStrategy strategy :
+           {EvalStrategy::kQsqr, EvalStrategy::kMagic,
+            EvalStrategy::kFixpoint}) {
+        session->mutable_options()->strategy = strategy;
+        session->Invalidate();
+        auto result = session->Query("?- " + goal.text + ".");
+        ASSERT_TRUE(result.ok())
+            << "seed " << seed << " goal " << goal.text << ": "
+            << result.status();
+        EXPECT_EQ(ToRows(*result), expected)
+            << "seed " << seed << " goal " << goal.text << " strategy "
+            << EvalStrategyName(strategy) << " threads "
+            << session->options().num_threads;
+      }
+    }
+  }
+}
+
+void CheckStrategies(uint64_t seed, size_t num_threads) {
+  Scenario s = RandomScenario(seed);
+  std::set<GroundFact> fixpoint = ReferenceFixpoint(s);
+  EvalOptions options;
+  options.num_threads = num_threads;
+  QuerySession session(s.db.get(), options);
+  session.set_cache_enabled(false);
+  for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
+  CheckGoals(s, &session, seed, fixpoint);
+}
+
+TEST_P(DifferentialOracleTest, StrategiesMatchReferenceSerial) {
+  CheckStrategies(GetParam() + 1500, /*num_threads=*/1);
+}
+
+TEST_P(DifferentialOracleTest, StrategiesMatchReferenceParallel) {
+  CheckStrategies(GetParam() + 3000, /*num_threads=*/8);
+}
+
+// Parallel rule tasks read the database's temporal index. Intervals added
+// after a query leave it stale; the next 8-thread query must still see
+// them (and, under TSan, must not rebuild it from several tasks at once).
+TEST_P(DifferentialOracleTest, ParallelRoundsSeeIntervalsAddedSinceLastQuery) {
+  Scenario s = RandomScenario(GetParam() + 4500);
+  // Every narrowing source, in rules that run as parallel tasks together.
+  for (size_t t : {8, 9, 11, 12, 13}) {
+    auto rule = Parser::ParseRule(kTemplates[t]);
+    ASSERT_TRUE(rule.ok());
+    s.rules.push_back(*rule);
+  }
+  EvalOptions options;
+  options.num_threads = 8;
+  QuerySession session(s.db.get(), options);
+  session.set_cache_enabled(false);
+  for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
+  CheckGoals(s, &session, GetParam(), ReferenceFixpoint(s));
+
+  Rng rng(GetParam() + 99);
+  for (int i = 0; i < 3; ++i) AddRandomInterval(&s, &rng);
+  CheckGoals(s, &session, GetParam() + 1, ReferenceFixpoint(s));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialOracleTest,

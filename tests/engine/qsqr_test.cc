@@ -182,5 +182,24 @@ TEST_F(QsqrTest, StatsRecordQsqrAccessPath) {
   EXPECT_NE(log.find("qsqr(bf)"), std::string::npos) << log;
 }
 
+TEST_F(QsqrTest, StoredRowsAreNotRecordedAgain) {
+  // VideoDatabase::AssertFact recorded the stored edge rows when they were
+  // loaded; the per-query memo load must not feed them to the sketches a
+  // second time. Only derived path rows are new to the collector.
+  auto& collector = obs::StatsCollector::Global();
+  collector.Reset();
+  auto result = session_->Query("?- path(c0, Y).");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(session_->last_exec_info().used_qsqr);
+  bool saw_path = false;
+  for (const obs::ColumnStatView& column : collector.Snapshot().columns) {
+    EXPECT_NE(column.predicate, "edge")
+        << "column " << column.column << " estimate "
+        << column.distinct_estimate;
+    saw_path |= column.predicate == "path";
+  }
+  EXPECT_TRUE(saw_path);
+}
+
 }  // namespace
 }  // namespace vqldb

@@ -330,6 +330,39 @@ TEST_F(DatabaseTest, TemporalIndexEmptyResultStaysClean) {
   EXPECT_EQ(db_.temporal_index_rebuilds(), rebuilds);
 }
 
+TEST_F(DatabaseTest, EmptyDurationsListedBesideTheTemporalIndex) {
+  ObjectId a = Interval("a", 0, 5);
+  ObjectId hollow = *db_.CreateInterval("hollow", IntervalSet::Empty());
+  // The empty duration has no fragment to index and overlaps nothing, so
+  // only the separate list names it.
+  EXPECT_EQ(db_.IntervalsOverlapping(IntervalSet::All()),
+            (std::vector<ObjectId>{a}));
+  EXPECT_EQ(db_.IntervalsWithEmptyDuration(), (std::vector<ObjectId>{hollow}));
+  // A duration update dirties both; the next read sees the new state.
+  ASSERT_TRUE(db_.SetAttribute(hollow, kAttrDuration,
+                               Value::Temporal(GeneralizedInterval::Single(
+                                                   1, 2)
+                                                   .ToIntervalSet()))
+                  .ok());
+  EXPECT_TRUE(db_.IntervalsWithEmptyDuration().empty());
+  EXPECT_EQ(db_.IntervalsOverlapping(IntervalSet::All()).size(), 2u);
+}
+
+TEST_F(DatabaseTest, PrepareTemporalIndexRebuildsOnlyWhenDirty) {
+  Interval("a", 0, 5);
+  db_.PrepareTemporalIndex();
+  EXPECT_EQ(db_.temporal_index_rebuilds(), 1u);
+  // Already clean: neither a second prepare nor the readers rebuild.
+  db_.PrepareTemporalIndex();
+  db_.IntervalsContaining(1.0);
+  db_.IntervalsWithEmptyDuration();
+  EXPECT_EQ(db_.temporal_index_rebuilds(), 1u);
+  Interval("b", 6, 9);
+  db_.PrepareTemporalIndex();
+  EXPECT_EQ(db_.temporal_index_rebuilds(), 2u);
+  EXPECT_EQ(db_.IntervalsContaining(7.0).size(), 1u);
+}
+
 TEST_F(DatabaseTest, TemporalQueriesOnEmptyDatabaseNeverRebuild) {
   for (int i = 0; i < 5; ++i) db_.IntervalsContaining(1.0);
   EXPECT_EQ(db_.temporal_index_rebuilds(), 0u);

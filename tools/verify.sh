@@ -54,18 +54,20 @@
 #    Then tools/server_chaos runs at smoke scale (the full 10k-connection /
 #    250-iteration run writes BENCH_server.json out-of-band).
 # 7. Configure + build with -DVQLDB_SANITIZE=address and run the governance,
-#    dictionary, columnar, shard, and planner/QSQR tests under ASan (the
-#    budget hierarchy
-#    moves ownership across queries, caches, and rollbacks; the dictionary
-#    arena and segment seal/merge paths juggle raw pointers; shard recovery
-#    tears down and rebuilds per-shard databases — exactly where lifetime
-#    bugs would live).
+#    dictionary, columnar, shard, planner/QSQR and differential-oracle tests
+#    under ASan (the budget hierarchy moves ownership across queries,
+#    caches, and rollbacks; the dictionary arena and segment seal/merge
+#    paths juggle raw pointers; shard recovery tears down and rebuilds
+#    per-shard databases — exactly where lifetime bugs would live).
 # 8. Configure + build with -DVQLDB_SANITIZE=thread and run the fixpoint
 #    determinism test, the thread-pool tests, the admission-gate stress
 #    test, the dictionary/columnar tests (lock-free Get, concurrent
 #    interning, parallel seal digests), the shard-store test (parallel
-#    per-shard recovery, scatter-gather over live shards), and the
-#    strategy-equivalence property suite's parallel mode under TSan.
+#    per-shard recovery, scatter-gather over live shards), the
+#    strategy-equivalence property suite's parallel mode, and the
+#    differential oracle's 8-thread cases (parallel rule tasks read the
+#    database's temporal index, including over intervals added since the
+#    previous query) under TSan.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -333,9 +335,9 @@ cmake --build build-asan -j "$JOBS" \
            term_dict_test columnar_test columnar_accounting_test \
            backoff_test shard_manifest_test shard_store_test \
            qsqr_test planner_test wire_test http_test snapshot_test \
-           server_test
+           server_test differential_oracle_test
 
-echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner =="
+echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner + oracle =="
 ./build-asan/tests/budget_test
 ./build-asan/tests/query_gate_test
 ./build-asan/tests/resource_governor_test
@@ -347,6 +349,7 @@ echo "== asan: budget + gate + governor + dictionary + columnar + shards + plann
 ./build-asan/tests/shard_store_test
 ./build-asan/tests/qsqr_test
 ./build-asan/tests/planner_test
+./build-asan/tests/differential_oracle_test
 
 echo "== asan: server protocol + end-to-end (framing, sessions, drain) =="
 ./build-asan/tests/wire_test
@@ -359,9 +362,10 @@ cmake -B build-tsan -S . -DVQLDB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target parallel_determinism_test thread_pool_test gate_stress_test \
            term_dict_test columnar_test stats_test shard_store_test \
-           strategy_property_test server_test snapshot_isolation_test
+           strategy_property_test server_test snapshot_isolation_test \
+           differential_oracle_test
 
-echo "== tsan: parallel determinism + thread pool + gate stress + columnar + shards + strategies =="
+echo "== tsan: parallel determinism + thread pool + gate stress + columnar + shards + strategies + oracle =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_determinism_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/gate_stress_test
@@ -370,6 +374,8 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/columnar_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/stats_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_store_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/strategy_property_test \
+    --gtest_filter='*Parallel*'
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/differential_oracle_test \
     --gtest_filter='*Parallel*'
 
 echo "== tsan: server connection handling + snapshot isolation =="
