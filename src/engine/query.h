@@ -4,9 +4,10 @@
 // of the rules over the database.
 //
 // Query execution is goal-directed by default: Run() first consults a
-// memoizing query cache (keyed on the goal's shape, its bound values, and
-// the database/rule epochs, so entries can never outlive the state they
-// were computed against), then applies the magic-set demand transformation
+// memoizing query cache (src/engine/query_cache.h: keyed on the goal's
+// shape, its bound values, and the database/rule epochs, so entries can
+// never outlive the state they were computed against; sessions over one
+// database may share one), then applies the magic-set demand transformation
 // (src/engine/magic.h) so the fixpoint derives only goal-relevant tuples,
 // falling back to full materialization whenever the rewrite declines. All
 // three paths produce identical answer sets.
@@ -16,12 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/budget.h"
@@ -29,6 +28,7 @@
 #include "src/engine/evaluator.h"
 #include "src/engine/interpretation.h"
 #include "src/engine/planner.h"
+#include "src/engine/query_cache.h"
 #include "src/engine/query_gate.h"
 #include "src/engine/sysrel.h"
 #include "src/lang/ast.h"
@@ -80,10 +80,14 @@ struct QueryExecInfo {
 /// Fixpoints are cached between queries and invalidated when rules are
 /// added. Mutating the database outside the session requires Invalidate()
 /// only for the full-materialization cache; the query cache keys on the
-/// database's mutation epoch and invalidates itself.
+/// database's mutation epoch and rules epoch and invalidates itself.
 class QuerySession {
  public:
-  explicit QuerySession(VideoDatabase* db, EvalOptions options = {});
+  /// `cache` is the answer cache to consult and fill; null gives the session
+  /// a private one. Sessions sharing a cache must serve the same database
+  /// with the same rules (see QueryCache).
+  explicit QuerySession(VideoDatabase* db, EvalOptions options = {},
+                        std::shared_ptr<QueryCache> cache = nullptr);
 
   /// Parses and applies a whole program: declarations create objects, fact
   /// rules assert database facts, proper rules accumulate in the session.
@@ -140,7 +144,10 @@ class QuerySession {
 
   /// Drops the cached fixpoint and the query cache (required after external
   /// db mutation for the former; the latter is epoch-keyed and cleared here
-  /// only for belt-and-braces hygiene, e.g. after option changes).
+  /// only for belt-and-braces hygiene, e.g. after option changes). Adding
+  /// rules drops only the fixpoint: the rules epoch in the cache key already
+  /// retires older answers, and a shared cache keeps what other sessions
+  /// stored.
   void Invalidate() {
     fixpoint_cache_.reset();
     ClearQueryCache();
@@ -150,23 +157,24 @@ class QuerySession {
 
   bool cache_enabled() const { return cache_enabled_; }
   void set_cache_enabled(bool on) { cache_enabled_ = on; }
-  void ClearQueryCache();
-  size_t query_cache_size() const { return query_cache_.size(); }
+  void ClearQueryCache() { cache_->Clear(); }
+  size_t query_cache_size() const { return cache_->size(); }
 
-  /// Bytes the cached answer rows currently occupy (ApproxBytes estimate).
-  size_t query_cache_bytes() const { return cache_bytes_; }
+  /// Bytes the cached answer rows currently occupy.
+  size_t query_cache_bytes() const { return cache_->bytes(); }
   /// Byte budget for the query cache: storing past it evicts LRU entries
   /// first (the entry cap stays as a secondary bound), and an answer larger
   /// than the whole budget is simply not cached.
-  size_t cache_max_bytes() const { return cache_max_bytes_; }
-  void set_cache_max_bytes(size_t bytes) { cache_max_bytes_ = bytes; }
+  size_t cache_max_bytes() const { return cache_->max_bytes(); }
+  void set_cache_max_bytes(size_t bytes) { cache_->set_max_bytes(bytes); }
 
   // ------------------------------------------------- resource governance
 
   /// Installs a session-wide resource governor. Each Run() creates a
   /// per-query child budget parented to it, so concurrent queries share the
   /// global headroom; cached answers (query cache, fixpoint cache) keep
-  /// their byte reservations until evicted. When a query trips the
+  /// their byte reservations until evicted. A shared query cache charges the
+  /// governor installed last by any of its sessions. When a query trips the
   /// governor, Run() degrades gracefully: shed every cache, clear the trip,
   /// retry once, and only then fail with ResourceExhausted. A governed
   /// failure never mutates the database (derived intervals materialized by
@@ -231,34 +239,6 @@ class QuerySession {
   static Status ApplyFact(const Rule& fact_rule, VideoDatabase* db);
 
  private:
-  /// Cache key: the goal's shape with variables canonicalized by first
-  /// occurrence ("?- p(a, X, X)" and "?- p(a, Y, Y)" share an entry), its
-  /// resolved bound values, and the epochs/options the answer depends on.
-  struct CacheKey {
-    std::string predicate;
-    std::string pattern;  // per argument: "c" or "v<canonical index>"
-    std::vector<Value> bound_values;
-    uint64_t db_epoch = 0;
-    uint64_t rules_epoch = 0;
-    uint64_t options_fp = 0;
-    bool operator==(const CacheKey& o) const;
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& k) const;
-  };
-  /// Cached answers are stored dictionary-encoded: one flat run of term-
-  /// dictionary symbol ids (row-major), decoded back to Values on a hit.
-  /// `bytes` is the exact retained footprint — the id payload plus the
-  /// dictionary bytes this answer was first to intern ("amortization") —
-  /// counted into cache_bytes_ and the governor.
-  struct CacheEntry {
-    std::vector<uint32_t> ids;  // row_count * column_count symbol ids
-    size_t column_count = 0;
-    size_t row_count = 0;
-    size_t bytes = 0;
-    std::list<CacheKey>::iterator lru_it;
-  };
-
   /// Plans and dispatches one query under EvalStrategy::kAuto: builds a
   /// Planner over the current statistics snapshot, costs the three
   /// strategies, records the choice (sys_plan_choices) and runs the winner.
@@ -301,18 +281,14 @@ class QuerySession {
   /// Drops the query cache and the fixpoint cache, releasing their governor
   /// reservations; returns the bytes freed (the shed-before-fail path).
   size_t ShedCaches();
-  /// Removes the cache entry `it` points at, maintaining cache_bytes_ and
-  /// the governor reservation.
-  void EvictCacheEntry(std::list<CacheKey>::iterator it);
 
   /// nullopt when the goal cannot be keyed (unresolvable symbol or a
   /// constructive term) — evaluation then reports the actual error.
-  std::optional<CacheKey> MakeCacheKey(const struct Query& query) const;
+  std::optional<QueryCache::Key> MakeCacheKey(const struct Query& query) const;
   uint64_t OptionsFingerprint() const;
   /// Columns of `query`'s distinct variables in first-occurrence order —
   /// the layout every execution path produces for rows of a shared shape.
   static std::vector<std::string> ColumnsOf(const struct Query& query);
-  void StoreCacheEntry(CacheKey key, const QueryResult& result);
 
   VideoDatabase* db_;
   EvalOptions options_;
@@ -335,10 +311,7 @@ class QuerySession {
   bool cache_enabled_ = true;
   uint64_t rules_epoch_ = 0;  // bumped whenever rules_ changes
 
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> query_cache_;
-  std::list<CacheKey> cache_lru_;  // front = least recently used
-  size_t cache_bytes_ = 0;
-  size_t cache_max_bytes_ = 16u << 20;  // 16 MiB of cached answer rows
+  std::shared_ptr<QueryCache> cache_;
 
   std::shared_ptr<ResourceBudget> governor_;
   std::shared_ptr<QueryGate> gate_;

@@ -444,8 +444,7 @@ void VideoDatabase::RebuildTemporalIndexIfDirty() const {
     return v != nullptr && v->is_temporal() ? &v->temporal_value() : nullptr;
   };
   // Sized exactly: the index stays resident as long as the database (each
-  // snapshot clone that answers a temporal read keeps one), and so would
-  // any growth slack.
+  // snapshot generation's copy keeps one), and so would any growth slack.
   const std::vector<ObjectId> intervals = AllIntervals();
   size_t fragments = 0;
   for (ObjectId id : intervals) {

@@ -40,17 +40,22 @@ enum class ObjectKind : uint8_t {
   kDerivedInterval,  // created by the concatenation operator (+)
 };
 
-/// One video sequence database. Not thread-safe; wrap externally if shared.
+/// One video sequence database. Not thread-safe for writers: any number of
+/// threads may read one database at once, provided none mutates it and its
+/// temporal index has been prepared (PrepareTemporalIndex) — the only state
+/// a const call can otherwise rebuild. The snapshot layer serves each
+/// committed generation that way (src/server/snapshot.h).
 class VideoDatabase {
  public:
   VideoDatabase() = default;
 
-  // Movable but not copyable (indexes hold internal references by id only,
-  // so a move is safe; copying a whole archive should be explicit via
-  // storage round-trip).
+  // Members and indexes refer to objects by id, never by pointer, so a
+  // memberwise copy is an exact, independent database (same ids, symbols,
+  // epoch and index contents). The copy is explicit so that a whole archive
+  // is never duplicated by accident; assignment stays move-only.
   VideoDatabase(VideoDatabase&&) = default;
   VideoDatabase& operator=(VideoDatabase&&) = default;
-  VideoDatabase(const VideoDatabase&) = delete;
+  explicit VideoDatabase(const VideoDatabase&) = default;
   VideoDatabase& operator=(const VideoDatabase&) = delete;
 
   // ---------------------------------------------------------------- objects

@@ -1108,8 +1108,19 @@ void Server::HandleHttpRequest(IoLoop* loop, Conn* conn,
              BuildHttpResponse(404, "text/plain", "unknown path\n"), true);
 }
 
-std::string Server::MetricsText() const {
+std::string Server::MetricsText() {
+  SyncSnapshotMetric();
   return obs::MetricsRegistry::Global().RenderPrometheus();
+}
+
+void Server::SyncSnapshotMetric() {
+  if (snapshots_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(snapshot_metric_mu_);
+  const uint64_t built = snapshots_->snapshots_built();
+  if (built > snapshots_published_) {
+    metrics_->snapshots_built->IncrementAlways(built - snapshots_published_);
+    snapshots_published_ = built;
+  }
 }
 
 std::string Server::HealthzJson() const {
@@ -1239,11 +1250,7 @@ void Server::Shutdown() {
     admitted_dropped_.fetch_add(dropped, std::memory_order_relaxed);
     metrics_->admitted_dropped->Increment(dropped);
   }
-  if (snapshots_ != nullptr) {
-    metrics_->snapshots_built->IncrementAlways(
-        snapshots_->snapshots_built() -
-        metrics_->snapshots_built->value());
-  }
+  SyncSnapshotMetric();
   loops_.clear();
 }
 

@@ -231,7 +231,12 @@ class Server {
 
   // ---- HTTP endpoints (IO thread) -----------------------------------------
   void HandleHttpRequest(IoLoop* loop, Conn* conn, const HttpRequest& req);
-  std::string MetricsText() const;
+  /// The Prometheus text of /metrics and metrics-dump, rendered once after
+  /// SyncSnapshotMetric().
+  std::string MetricsText();
+  /// Adds the snapshot builds made since the last sync to
+  /// vqldb_server_snapshots_built_total.
+  void SyncSnapshotMetric();
 
   void RegisterMetrics();
   uint64_t NowMs() const;
@@ -241,6 +246,8 @@ class Server {
   const ServerOptions options_;
 
   std::unique_ptr<SnapshotManager> snapshots_;  // single-db mode only
+  std::mutex snapshot_metric_mu_;
+  uint64_t snapshots_published_ = 0;  // builds already counted; guarded above
   std::mutex archive_mu_;  // ShardedArchive::Query is not thread-safe
 
   std::shared_ptr<QueryGate> gate_;

@@ -1,5 +1,6 @@
 #include "src/server/snapshot.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -7,6 +8,21 @@
 
 namespace vqldb {
 namespace server {
+
+namespace {
+
+// Whether evaluating `rules` under `options` may write to the database.
+// Only VideoDatabase::Concatenate does, and the evaluator calls it for
+// constructive (++) heads and for the extended active domain alone; a
+// governed rollback with nothing materialized is a no-op.
+bool EvaluationMayWrite(const std::vector<Rule>& rules,
+                        const EvalOptions& options) {
+  return options.extended_active_domain ||
+         std::any_of(rules.begin(), rules.end(),
+                     [](const Rule& rule) { return rule.IsConstructive(); });
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- the lease
 
@@ -39,14 +55,26 @@ uint64_t SessionLease::rules_epoch() const {
 // ------------------------------------------------------------- the snapshot
 
 DbSnapshot::DbSnapshot(uint64_t db_epoch, uint64_t rules_epoch,
-                       std::string bytes, std::vector<Rule> rules,
-                       EvalOptions options, size_t max_sessions)
+                       std::unique_ptr<VideoDatabase> db,
+                       std::vector<Rule> rules, EvalOptions options,
+                       size_t max_sessions)
     : db_epoch_(db_epoch),
       rules_epoch_(rules_epoch),
-      bytes_(std::move(bytes)),
+      db_(std::move(db)),
       rules_(std::move(rules)),
       options_(std::move(options)),
-      max_sessions_(max_sessions == 0 ? 1 : max_sessions) {}
+      max_sessions_(max_sessions == 0 ? 1 : max_sessions),
+      cache_(EvaluationMayWrite(rules_, options_)
+                 ? nullptr
+                 : std::make_shared<QueryCache>()) {}
+
+const std::string& DbSnapshot::bytes() const {
+  std::call_once(bytes_once_, [this] {
+    auto image = BinaryFormat::Serialize(*db_);
+    if (image.ok()) bytes_ = std::move(*image);
+  });
+  return bytes_;
+}
 
 Result<SessionLease> DbSnapshot::Acquire() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -56,28 +84,26 @@ Result<SessionLease> DbSnapshot::Acquire() {
       free_.pop_back();
       Slot* s = slots_[slot].get();
       return SessionLease(shared_from_this(), slot, s->session.get(),
-                          s->db.get());
+                          s->session->database());
     }
     if (slots_.size() + building_ < max_sessions_) {
-      // Build a fresh clone outside the lock: deserialization is the
-      // expensive part and other leases must keep flowing meanwhile.
+      // Build the session outside the lock (a private copy, when the
+      // generation needs one, is O(db)); other leases keep flowing.
       ++building_;
       lock.unlock();
       auto built = std::make_unique<Slot>();
+      VideoDatabase* db = db_.get();
+      if (!shared()) {
+        built->db = std::make_unique<VideoDatabase>(*db_);
+        db = built->db.get();
+      }
+      built->session = std::make_unique<QuerySession>(db, options_, cache_);
       Status build_status;
-      auto restored = BinaryFormat::Deserialize(bytes_);
-      if (!restored.ok()) {
-        build_status = restored.status().WithContext("snapshot clone");
-      } else {
-        built->db = std::make_unique<VideoDatabase>(std::move(*restored));
-        built->session =
-            std::make_unique<QuerySession>(built->db.get(), options_);
-        for (const Rule& rule : rules_) {
-          Status st = built->session->AddRule(rule);
-          if (!st.ok()) {
-            build_status = st.WithContext("snapshot rules");
-            break;
-          }
+      for (const Rule& rule : rules_) {
+        Status st = built->session->AddRule(rule);
+        if (!st.ok()) {
+          build_status = st.WithContext("snapshot rules");
+          break;
         }
       }
       lock.lock();
@@ -90,7 +116,7 @@ Result<SessionLease> DbSnapshot::Acquire() {
       slots_.push_back(std::move(built));
       Slot* s = slots_[slot].get();
       return SessionLease(shared_from_this(), slot, s->session.get(),
-                          s->db.get());
+                          s->session->database());
     }
     free_cv_.wait(lock, [&] {
       return !free_.empty() || slots_.size() + building_ < max_sessions_;
@@ -138,10 +164,12 @@ Result<std::shared_ptr<DbSnapshot>> SnapshotManager::Current() {
       current_->rules_epoch() == rules_epoch) {
     return current_;
   }
-  auto bytes = BinaryFormat::Serialize(*db_);
-  if (!bytes.ok()) return bytes.status().WithContext("snapshot build");
+  // The one copy every session of the generation reads. Its temporal index
+  // is built here, so that concurrent readers never rebuild it.
+  auto frozen = std::make_unique<VideoDatabase>(*db_);
+  frozen->PrepareTemporalIndex();
   current_ = std::make_shared<DbSnapshot>(
-      db_epoch, rules_epoch, std::move(*bytes), write_session_.rules(),
+      db_epoch, rules_epoch, std::move(frozen), write_session_.rules(),
       options_, sessions_per_snapshot_);
   ++built_;
   return current_;

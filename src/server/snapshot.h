@@ -1,31 +1,39 @@
 // Snapshot-isolated read sessions for the service layer.
 //
 // The server owns one authoritative ("live") VideoDatabase that all writes
-// mutate, and every read request runs against an immutable *snapshot* of it
-// keyed on (VideoDatabase::epoch(), rules epoch). A snapshot materializes
-// lazily: the first read after a write serializes the live database
-// (BinaryFormat — the same bytes a .vqdb file holds) under the writer lock,
-// and every reader session of that snapshot is a private deserialized clone
-// plus its own QuerySession, so
+// mutate, and every read request runs against an immutable *generation* of
+// it keyed on (VideoDatabase::epoch(), rules epoch). A generation
+// materializes lazily: the first read after a write copies the live
+// database under the writer lock, prepares the copy's temporal index, and
+// publishes it. Every reader session of that generation then reads the one
+// copy and consults one answer cache, so
 //
 //   * writers never block readers: a commit only bumps the epoch; in-flight
 //     readers keep their shared_ptr<DbSnapshot> and finish on the state they
 //     started on,
-//   * readers never block writers: reads touch only clone databases,
-//   * readers never see a torn state: a clone is built from one serialized
-//     image, and the session pool hands a clone to one request at a time.
+//   * readers never block writers: reads touch only the generation's copy,
+//   * readers never see a torn state: the copy is taken whole under the
+//     writer lock and nothing writes to it afterwards,
+//   * an answer computed by one session of a generation is a cache hit for
+//     every other session of it.
 //
-// This is the freeze/thaw idea from the columnar engine lifted to the whole
-// database: cheap to reason about, O(db) only when the db actually changed,
-// and exactly the isolation contract the snapshot_isolation property test
-// pins down with SealedDigest.
+// Sharing is sound because evaluation only reads the database unless it
+// materializes derived intervals, which happens for constructive (++) rule
+// heads and under extended_active_domain alone. A generation whose rules or
+// options allow that gives each session a private copy of the generation
+// and a private cache instead, decided once per generation.
+//
+// A lease's database may therefore be shared by every lease of its
+// generation: callers must not mutate it, nor enable extended_active_domain
+// on a leased session.
 //
 // Concurrency: SnapshotManager is fully thread-safe. Apply() serializes
 // writers; Acquire() is called from any worker thread. Sessions are leased
 // (RAII SessionLease) from a per-snapshot pool bounded by
 // `sessions_per_snapshot` — size it >= the admission gate's slot count and a
 // lease is always available without waiting; when undersized, Acquire blocks
-// briefly until a lease returns.
+// briefly until a lease returns. The pool exists because a session is not
+// thread-safe and costs its rules' analysis to build.
 
 #ifndef VQLDB_SERVER_SNAPSHOT_H_
 #define VQLDB_SERVER_SNAPSHOT_H_
@@ -40,6 +48,7 @@
 #include "src/common/result.h"
 #include "src/engine/evaluator.h"
 #include "src/engine/query.h"
+#include "src/engine/query_cache.h"
 #include "src/model/database.h"
 
 namespace vqldb {
@@ -61,6 +70,8 @@ class SessionLease {
 
   bool valid() const { return session_ != nullptr; }
   QuerySession* session() { return session_; }
+  /// The generation's database, possibly shared with other leases: read it,
+  /// never mutate it.
   VideoDatabase* db() { return db_; }
   /// The generation this session is pinned to.
   uint64_t db_epoch() const;
@@ -78,20 +89,28 @@ class SessionLease {
   VideoDatabase* db_ = nullptr;
 };
 
-/// One immutable generation of the database: the serialized image plus a
-/// bounded pool of (clone, session) slots built from it on demand.
+/// One immutable generation of the database: its frozen copy, the answer
+/// cache its sessions share, and a bounded pool of sessions built on demand.
 class DbSnapshot : public std::enable_shared_from_this<DbSnapshot> {
  public:
-  DbSnapshot(uint64_t db_epoch, uint64_t rules_epoch, std::string bytes,
-             std::vector<Rule> rules, EvalOptions options, size_t max_sessions);
+  /// `db` is the generation's copy, its temporal index already prepared.
+  DbSnapshot(uint64_t db_epoch, uint64_t rules_epoch,
+             std::unique_ptr<VideoDatabase> db, std::vector<Rule> rules,
+             EvalOptions options, size_t max_sessions);
 
   uint64_t db_epoch() const { return db_epoch_; }
   uint64_t rules_epoch() const { return rules_epoch_; }
-  const std::string& bytes() const { return bytes_; }
+  /// The generation in the .vqdb encoding (BinaryFormat), serialized on the
+  /// first call; empty if it cannot be encoded. Diagnostics only: no read
+  /// path asks for it.
+  const std::string& bytes() const;
+  /// Whether leases share one database and one answer cache (false when the
+  /// rules are constructive or extended_active_domain is set).
+  bool shared() const { return cache_ != nullptr; }
 
-  /// Leases a session (building a clone if the pool has headroom, blocking
-  /// for a returned lease otherwise). Fails only if the image fails to
-  /// deserialize — which means the snapshot itself is corrupt.
+  /// Leases a session, building one if the pool has headroom and blocking
+  /// for a returned lease otherwise. Fails only if the rules fail to
+  /// install, which the write path has already ruled out.
   Result<SessionLease> Acquire();
 
   /// Sessions materialized so far (tests).
@@ -100,7 +119,7 @@ class DbSnapshot : public std::enable_shared_from_this<DbSnapshot> {
  private:
   friend class SessionLease;
   struct Slot {
-    std::unique_ptr<VideoDatabase> db;
+    std::unique_ptr<VideoDatabase> db;  // private copy; null when shared
     std::unique_ptr<QuerySession> session;
   };
 
@@ -108,16 +127,20 @@ class DbSnapshot : public std::enable_shared_from_this<DbSnapshot> {
 
   const uint64_t db_epoch_;
   const uint64_t rules_epoch_;
-  const std::string bytes_;
+  const std::unique_ptr<VideoDatabase> db_;
   const std::vector<Rule> rules_;
   const EvalOptions options_;
   const size_t max_sessions_;
+  const std::shared_ptr<QueryCache> cache_;  // null when not shared
+
+  mutable std::once_flag bytes_once_;
+  mutable std::string bytes_;
 
   mutable std::mutex mu_;
   std::condition_variable free_cv_;
   std::vector<std::unique_ptr<Slot>> slots_;  // guarded by mu_
   std::vector<size_t> free_;                  // free slot indexes
-  size_t building_ = 0;  // clones under construction (capacity reserved)
+  size_t building_ = 0;  // sessions under construction (capacity reserved)
 };
 
 /// The writer side plus the snapshot cache. Owns neither the database nor

@@ -1,12 +1,15 @@
 // The memoizing query cache: hits without re-evaluation, epoch-based
 // invalidation on database mutation (direct and via journal replay),
-// canonical variable renaming, the LRU capacity bound, and the epoch
-// subtlety of constructive evaluation.
+// canonical variable renaming, the LRU capacity bound, the epoch subtlety
+// of constructive evaluation, and one cache shared by two sessions.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "src/engine/query.h"
 #include "src/obs/metrics.h"
@@ -252,6 +255,70 @@ TEST_F(QueryCacheTest, ConstructiveEvaluationStoresPostEpoch) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(session_->last_exec_info().cache_hit);
   EXPECT_EQ(first->rows, second->rows);
+}
+
+TEST(SharedQueryCacheTest, SessionsShareOneCacheWithExactBytes) {
+  // A 30-node chain: evaluating path(X, Y) takes long enough that two
+  // sessions started together both miss and both store.
+  constexpr int kNodes = 30;
+  std::string program;
+  for (int i = 0; i < kNodes; ++i) {
+    program += "object n" + std::to_string(i) + " {}.\n";
+  }
+  for (int i = 0; i + 1 < kNodes; ++i) {
+    program += "edge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+               ").\n";
+  }
+  VideoDatabase db;
+  ASSERT_TRUE(QuerySession(&db).Load(program).ok());
+  const char* kRules[] = {"path(X, Y) <- edge(X, Y).",
+                          "path(X, Z) <- path(X, Y), edge(Y, Z)."};
+  auto cache = std::make_shared<QueryCache>();
+  QuerySession one(&db, {}, cache);
+  QuerySession two(&db, {}, cache);
+  QuerySession solo(&db);  // private cache: the reference footprint
+  for (const char* rule : kRules) {
+    ASSERT_TRUE(one.AddRule(rule).ok());
+    ASSERT_TRUE(two.AddRule(rule).ok());
+    ASSERT_TRUE(solo.AddRule(rule).ok());
+  }
+  auto first = one.Query("?- path(n0, Y).");
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(one.last_exec_info().cache_hit);
+  auto second = two.Query("?- path(n0, Y).");
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(two.last_exec_info().cache_hit);
+  EXPECT_EQ(first->rows, second->rows);
+  EXPECT_EQ(two.query_cache_size(), 1u);
+  EXPECT_EQ(solo.query_cache_size(), 0u);
+
+  ASSERT_TRUE(solo.Query("?- path(X, Y).").ok());
+  const size_t entry_bytes = solo.query_cache_bytes();
+  ASSERT_GT(entry_bytes, 0u);
+
+  // Both sessions miss on the same key at once and both store it: the
+  // first store wins and the second must not count its bytes again.
+  for (int round = 0; round < 50; ++round) {
+    // Drops the shared cache and each session's fixpoint, so that both
+    // evaluate again.
+    one.Invalidate();
+    two.Invalidate();
+    std::atomic<int> ready{0};
+    auto run = [&](QuerySession* session) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      auto result = session->Query("?- path(X, Y).");
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->rows.size(), size_t{kNodes * (kNodes - 1) / 2});
+    };
+    std::thread a(run, &one);
+    std::thread b(run, &two);
+    a.join();
+    b.join();
+    ASSERT_EQ(cache->size(), 1u);
+    ASSERT_EQ(one.query_cache_bytes(), entry_bytes) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -32,6 +32,14 @@ constexpr const char* kSeedProgram =
     "path(X, Y) <- e(X, Y). "
     "path(X, Z) <- path(X, Y), e(Y, Z).";
 
+// The value of counter `name` in a Prometheus text scrape; -1 if absent.
+int64_t CounterIn(const std::string& scrape, const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  size_t at = scrape.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::stoll(scrape.substr(at + prefix.size()));
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   std::unique_ptr<Server> StartServer(ServerOptions options) {
@@ -272,6 +280,25 @@ TEST_F(ServerTest, HealthzAndMetricsOverHttp) {
   auto metrics = HttpGet("127.0.0.1", server->port(), "/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->find("vqldb_server_requests_total"), std::string::npos);
+
+  // Snapshot builds are counted live, not only once the server shuts down:
+  // a statement followed by a query builds one generation, and the next
+  // scrape shows it.
+  const int64_t built_before =
+      CounterIn(*metrics, "vqldb_server_snapshots_built_total");
+  ASSERT_GE(built_before, 0);
+  auto write = client.Statement("object d { }. e(c, d).");
+  ASSERT_TRUE(write.ok());
+  EXPECT_TRUE((*write).ok()) << write->body;
+  auto read = client.Query("?- p(X, Y).");
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE((*read).ok()) << read->body;
+  auto after = HttpGet("127.0.0.1", server->port(), "/metrics");
+  ASSERT_TRUE(after.ok());
+  const int64_t built_after =
+      CounterIn(*after, "vqldb_server_snapshots_built_total");
+  EXPECT_GT(built_after, 0);
+  EXPECT_GT(built_after, built_before);
 
   int status = 0;
   auto missing =

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,6 +149,199 @@ TEST(SnapshotManagerTest, ConcurrentAcquireBuildsAtMostPoolSize) {
 
   auto snapshot = manager.Current();
   ASSERT_TRUE(snapshot.ok());
+  EXPECT_LE((*snapshot)->sessions_built(), 4u);
+  EXPECT_EQ(manager.snapshots_built(), 1u);
+}
+
+TEST(SnapshotManagerTest, LeasesOfOneGenerationShareTheCopyAndTheCache) {
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 2);
+  ASSERT_TRUE(
+      manager.Apply("object a { }. object b { }. e(a, b). p(X, Y) <- e(X, Y).")
+          .ok());
+
+  auto one = manager.AcquireSession();
+  auto two = manager.AcquireSession();
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  EXPECT_NE(one->session(), two->session());
+  EXPECT_EQ(one->db(), two->db());
+  EXPECT_NE(one->db(), &db);  // a copy, never the live database
+
+  // An answer one lease computes is a hit on the other.
+  EXPECT_EQ(RowCount(*one, "?- p(a, Y)."), 1u);
+  EXPECT_FALSE(one->session()->last_exec_info().cache_hit);
+  EXPECT_EQ(RowCount(*two, "?- p(a, Y)."), 1u);
+  EXPECT_TRUE(two->session()->last_exec_info().cache_hit);
+
+  // A write starts a generation whose first run of that goal misses.
+  ASSERT_TRUE(manager.Apply("object c { }. e(a, c).").ok());
+  auto three = manager.AcquireSession();
+  ASSERT_TRUE(three.ok());
+  EXPECT_NE(three->db(), one->db());
+  EXPECT_EQ(RowCount(*three, "?- p(a, Y)."), 2u);
+  EXPECT_FALSE(three->session()->last_exec_info().cache_hit);
+  // The older generation still answers from its own state.
+  EXPECT_EQ(RowCount(*one, "?- p(a, Y)."), 1u);
+  EXPECT_TRUE(one->session()->last_exec_info().cache_hit);
+}
+
+TEST(SnapshotManagerTest, SessionJoiningAGenerationKeepsItsCache) {
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 2);
+  ASSERT_TRUE(
+      manager.Apply("object a { }. object b { }. e(a, b). p(X, Y) <- e(X, Y).")
+          .ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+
+  auto first = (*snapshot)->Acquire();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(RowCount(*first, "?- p(a, Y)."), 1u);
+  ASSERT_EQ(first->session()->query_cache_size(), 1u);
+
+  // Held leases force a second session to be built; installing the
+  // generation's rules in it must not clear what the first one stored.
+  auto second = (*snapshot)->Acquire();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*snapshot)->sessions_built(), 2u);
+  EXPECT_EQ(second->session()->query_cache_size(), 1u);
+  EXPECT_EQ(RowCount(*second, "?- p(a, Y)."), 1u);
+  EXPECT_TRUE(second->session()->last_exec_info().cache_hit);
+}
+
+TEST(SnapshotManagerTest, ConstructiveRulesGiveEachLeaseAPrivateCopy) {
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 2);
+  ASSERT_TRUE(manager
+                  .Apply("interval gi1 { duration: (t > 0 and t < 5) }.\n"
+                         "interval gi2 { duration: (t > 5 and t < 9) }.\n"
+                         "seg(gi1). seg(gi2).\n"
+                         "combo(G1 ++ G2) <- seg(G1), seg(G2).\n")
+                  .ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_FALSE((*snapshot)->shared());
+
+  auto one = (*snapshot)->Acquire();
+  auto two = (*snapshot)->Acquire();
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  EXPECT_NE(one->db(), two->db());
+
+  // gi1 ++ gi2 materializes a derived interval in the first lease's copy
+  // only: neither the other lease nor the live database sees it, and the
+  // answer lands in the first lease's cache alone.
+  auto combo = one->session()->Query("?- combo(G).");
+  ASSERT_TRUE(combo.ok()) << combo.status().ToString();
+  EXPECT_EQ(combo->rows.size(), 3u);  // gi1, gi2 and gi1 ++ gi2
+  EXPECT_EQ(one->db()->derived_interval_count(), 1u);
+  EXPECT_EQ(two->db()->derived_interval_count(), 0u);
+  EXPECT_EQ(db.derived_interval_count(), 0u);
+  EXPECT_EQ(one->session()->query_cache_size(), 1u);
+  EXPECT_EQ(two->session()->query_cache_size(), 0u);
+
+  auto again = two->session()->Query("?- combo(G).");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(two->session()->last_exec_info().cache_hit);
+  EXPECT_EQ(again->rows, combo->rows);
+
+  // The extended active domain materializes too, rules or not.
+  VideoDatabase other;
+  EvalOptions extended;
+  extended.extended_active_domain = true;
+  SnapshotManager ext(&other, extended, 1);
+  ASSERT_TRUE(ext.Apply("object a { }. e(a).").ok());
+  auto ext_snapshot = ext.Current();
+  ASSERT_TRUE(ext_snapshot.ok());
+  EXPECT_FALSE((*ext_snapshot)->shared());
+}
+
+TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
+  // A small news timeline with the browse rules: every reader thread must
+  // get the single-threaded answer, whether it evaluates over the shared
+  // copy or hits the shared cache.
+  std::string program =
+      "appears(O, G) <- Interval(G), Object(O), O in G.entities.\n"
+      "cooccur(O1, O2, G) <- Interval(G), Object(O1), Object(O2), "
+      "O1 in G.entities, O2 in G.entities, O1 != O2.\n"
+      "contains(G1, G2) <- Interval(G1), Interval(G2), "
+      "G2.duration => G1.duration.\n";
+  constexpr int kEntities = 6;
+  constexpr int kScenes = 16;
+  for (int e = 0; e < kEntities; ++e) {
+    program += "object e" + std::to_string(e) + " { }.\n";
+  }
+  for (int k = 0; k < kScenes; ++k) {
+    const int begin = k * 5;
+    const int end = begin + (k % 4 == 0 ? 30 : 8);
+    const std::string a = "e" + std::to_string(k % kEntities);
+    const std::string b = "e" + std::to_string((k * 7 + 1) % kEntities);
+    program += "interval s" + std::to_string(k) + " { duration: (t >= " +
+               std::to_string(begin) + " and t <= " + std::to_string(end) +
+               "), entities: {" + a + ", " + b + "} }.\n";
+    if (k % 2 == 0) {
+      program += "interviews(" + a + ", " + b + ", s" + std::to_string(k) +
+                 ").\n";
+    }
+  }
+  std::vector<std::string> goals;
+  for (int e = 0; e < kEntities; ++e) {
+    const std::string key = "e" + std::to_string(e);
+    goals.push_back("?- appears(" + key + ", G).");
+    goals.push_back("?- cooccur(" + key + ", O, G).");
+    goals.push_back("?- interviews(" + key + ", O, G).");
+  }
+  for (int k = 0; k < kScenes; k += 3) {
+    goals.push_back("?- contains(s" + std::to_string(k) + ", G).");
+  }
+
+  VideoDatabase serial_db;
+  QuerySession serial(&serial_db);
+  ASSERT_TRUE(serial.Load(program).ok());
+  std::vector<std::string> expected;
+  for (const std::string& goal : goals) {
+    auto result = serial.Query(goal);
+    ASSERT_TRUE(result.ok()) << goal << ": " << result.status().ToString();
+    expected.push_back(result->ToString(&serial_db));
+  }
+
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 4);
+  ASSERT_TRUE(manager.Apply(program).ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE((*snapshot)->shared());
+
+  const EvalStrategy strategies[] = {EvalStrategy::kAuto, EvalStrategy::kQsqr,
+                                     EvalStrategy::kMagic,
+                                     EvalStrategy::kFixpoint};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < goals.size(); ++i) {
+          const size_t g = (i + static_cast<size_t>(t) * 5) % goals.size();
+          auto lease = (*snapshot)->Acquire();
+          ASSERT_TRUE(lease.ok());
+          QuerySession* session = lease->session();
+          // Odd threads bypass the cache so that evaluation itself runs
+          // concurrently over the shared copy, under every strategy.
+          const EvalStrategy saved = session->options().strategy;
+          session->mutable_options()->strategy = strategies[t % 4];
+          session->set_cache_enabled(t % 2 == 0);
+          auto result = session->Query(goals[g]);
+          session->set_cache_enabled(true);
+          session->mutable_options()->strategy = saved;
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          if (result->ToString(lease->db()) != expected[g]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
   EXPECT_LE((*snapshot)->sessions_built(), 4u);
   EXPECT_EQ(manager.snapshots_built(), 1u);
 }

@@ -13,7 +13,9 @@ namespace {
 class CatalogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/catalog_test";
+    // Unique per test: ctest runs tests as parallel processes.
+    dir_ = ::testing::TempDir() + "/catalog_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

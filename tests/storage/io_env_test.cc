@@ -14,7 +14,9 @@ namespace {
 class IoEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/io_env_test";
+    // Unique per test: ctest runs tests as parallel processes.
+    dir_ = ::testing::TempDir() + "/io_env_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

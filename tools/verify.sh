@@ -64,10 +64,12 @@
 #    test, the dictionary/columnar tests (lock-free Get, concurrent
 #    interning, parallel seal digests), the shard-store test (parallel
 #    per-shard recovery, scatter-gather over live shards), the
-#    strategy-equivalence property suite's parallel mode, and the
+#    strategy-equivalence property suite's parallel mode, the
 #    differential oracle's 8-thread cases (parallel rule tasks read the
 #    database's temporal index, including over intervals added since the
-#    previous query) under TSan.
+#    previous query), and the snapshot and query-cache tests (every session
+#    of a generation reads one database copy and one answer cache) under
+#    TSan.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -363,7 +365,7 @@ cmake --build build-tsan -j "$JOBS" \
   --target parallel_determinism_test thread_pool_test gate_stress_test \
            term_dict_test columnar_test stats_test shard_store_test \
            strategy_property_test server_test snapshot_isolation_test \
-           differential_oracle_test
+           snapshot_test query_cache_test differential_oracle_test
 
 echo "== tsan: parallel determinism + thread pool + gate stress + columnar + shards + strategies + oracle =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_determinism_test
@@ -378,8 +380,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/strategy_property_test \
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/differential_oracle_test \
     --gtest_filter='*Parallel*'
 
-echo "== tsan: server connection handling + snapshot isolation =="
+echo "== tsan: server connection handling + snapshot isolation + shared generations =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_isolation_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/query_cache_test
 
 echo "verify: OK"
