@@ -11,6 +11,12 @@
 // (src/engine/magic.h) so the fixpoint derives only goal-relevant tuples,
 // falling back to full materialization whenever the rewrite declines. All
 // three paths produce identical answer sets.
+//
+// Answers come back two ways. Run() and Query() return values, decoded from
+// the cache on a hit. RunRendered() and QueryRendered() return text for
+// callers that serve it (the server, the sharded archive): every cache
+// entry carries its rows rendered once, when stored, so a hit is a copy of
+// that rendering with no decode, and a miss renders once, into the cache.
 
 #ifndef VQLDB_ENGINE_QUERY_H_
 #define VQLDB_ENGINE_QUERY_H_
@@ -45,7 +51,9 @@ struct QueryResult {
   bool empty() const { return rows.empty(); }
   size_t size() const { return rows.size(); }
 
-  /// Tabular rendering; when `db` is given, oids print as their symbols.
+  /// Tabular rendering into one buffer: the AppendAnswerHeader line, then
+  /// one AppendAnswerRows line per row. When `db` is given, oids print as
+  /// their symbols.
   std::string ToString(const VideoDatabase* db = nullptr) const;
 };
 
@@ -103,6 +111,20 @@ class QuerySession {
   /// and applicable), full materialization otherwise.
   Result<QueryResult> Query(std::string_view query_text);
   Result<QueryResult> Run(const struct Query& query, uint64_t parse_us = 0);
+
+  /// Query() rendered: exactly the text Query(query_text)->ToString(
+  /// database()) prints. A cache hit appends the entry's rendering to a
+  /// header carrying this query's column names ("?- p(a, X)." and
+  /// "?- p(a, Y)." share one entry), with no decode; a miss runs as Run()
+  /// does and renders once, into the cache when the goal is cacheable.
+  Result<std::string> QueryRendered(std::string_view query_text);
+  /// Run() whose answer comes back rendered, with its MergeOrder() built:
+  /// what the archive scatter merges. A hit returns the cache entry's
+  /// rendering and builds its merge order at most once, charged to the
+  /// entry; a miss renders and sorts the computed rows once, into the cache
+  /// when the goal is cacheable.
+  Result<std::shared_ptr<const RenderedAnswer>> RunRendered(
+      const struct Query& query);
 
   /// Goal-directed variant: evaluates only the rules whose head predicates
   /// the goal (transitively) depends on, instead of materializing the whole
@@ -259,11 +281,26 @@ class QuerySession {
   Result<QueryResult> RunUncached(const struct Query& query);
   Result<QueryResult> RunMaterialized(const struct Query& query);
 
-  /// Run() minus admission control and statistics recording: the wrapper
-  /// holds the gate ticket (member state is only touched under it), times
-  /// the whole call, fingerprints the goal and hands one QueryRecord
-  /// (including shed and failed outcomes) to the statistics collector.
-  Result<QueryResult> RunImpl(const struct Query& query);
+  /// Which form of the answer an execution hands back.
+  enum class Render {
+    kNone,        // decoded rows only (Run)
+    kRows,        // the rendering too; a hit decodes nothing
+    kMergeOrder,  // the rendering with its merge order built
+  };
+  /// One execution's answer: the columns always, decoded rows unless a
+  /// rendered call hit the cache, and the rendering when asked for.
+  struct Outcome {
+    QueryResult result;
+    std::shared_ptr<const RenderedAnswer> rendered;
+  };
+
+  /// The shared body of Run(), RunRendered() and QueryRendered(): holds the
+  /// gate ticket (member state is only touched under it), times the whole
+  /// call, fingerprints the goal and hands one QueryRecord (including shed
+  /// and failed outcomes) to the statistics collector around RunImpl().
+  Result<Outcome> Execute(const struct Query& query, uint64_t parse_us,
+                          Render render);
+  Result<Outcome> RunImpl(const struct Query& query, Render render);
 
   /// Decides whether `goal` touches the sys_* namespace (directly or via a
   /// rule in its dependency cone) and, if so, materializes one consistent

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 
 #include "src/common/hash.h"
+#include "src/common/logging.h"
 #include "src/model/term_dict.h"
 #include "src/obs/metrics.h"
 
@@ -42,6 +44,118 @@ obs::Counter* CacheBytesEvicted() {
 
 }  // namespace
 
+void AppendAnswerHeader(size_t rows, const std::vector<std::string>& columns,
+                        std::string* out) {
+  out->push_back('(');
+  out->append(std::to_string(rows));
+  out->append(rows == 1 ? " answer)" : " answers)");
+  if (columns.empty()) return;
+  out->append(" [");
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (i) out->append(", ");
+    out->append(columns[i]);
+  }
+  out->push_back(']');
+}
+
+void AppendAnswerRows(const std::vector<std::vector<Value>>& rows,
+                      const VideoDatabase* db, std::string* out,
+                      std::vector<uint32_t>* cell_starts) {
+  for (const auto& row : rows) {
+    out->append("  ");
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i) out->append(", ");
+      if (cell_starts != nullptr) {
+        cell_starts->push_back(static_cast<uint32_t>(out->size()));
+      }
+      const Value& v = row[i];
+      const std::string* symbol =
+          db != nullptr && v.is_oid() ? db->SymbolOf(v.oid_value()) : nullptr;
+      if (symbol != nullptr) {
+        out->append(*symbol);
+      } else {
+        out->append(v.ToString());
+      }
+    }
+    out->push_back('\n');
+  }
+}
+
+// ------------------------------------------------------------ RenderedRows
+
+RenderedRows::RenderedRows(const std::vector<std::vector<Value>>& rows,
+                           size_t columns, const VideoDatabase* db)
+    : rows_(rows.size()), columns_(columns) {
+  cell_starts_.reserve(rows.size() * columns);
+  text_.reserve(rows.size() * (3 + columns * 10));
+  AppendAnswerRows(rows, db, &text_, &cell_starts_);
+  VQLDB_DCHECK(cell_starts_.size() == rows_ * columns_);
+  // Held for as long as its answer is cached: keep no slack.
+  text_.shrink_to_fit();
+}
+
+size_t RenderedRows::LineStart(size_t row) const {
+  // A zero-column row is just "  \n".
+  return columns_ == 0 ? 3 * row : cell_starts_[row * columns_] - 2;
+}
+
+size_t RenderedRows::LineEnd(size_t row) const {
+  return row + 1 < rows_ ? LineStart(row + 1) : text_.size();
+}
+
+std::string_view RenderedRows::Cell(size_t row, size_t column) const {
+  const size_t i = row * columns_ + column;
+  const size_t start = cell_starts_[i];
+  // A cell ends before the ", " that follows it, or before the newline.
+  const size_t end =
+      column + 1 < columns_ ? cell_starts_[i + 1] - 2 : LineEnd(row) - 1;
+  return std::string_view(text_).substr(start, end - start);
+}
+
+int RenderedRows::CompareRows(const RenderedRows& x, size_t a,
+                              const RenderedRows& y, size_t b) {
+  for (size_t c = 0; c < x.columns_; ++c) {
+    const int cmp = x.Cell(a, c).compare(y.Cell(b, c));
+    if (cmp != 0) return cmp;
+  }
+  return 0;
+}
+
+void RenderedRows::AppendRow(const RenderedRows& src, size_t row) {
+  VQLDB_DCHECK(src.columns_ == columns_);
+  const size_t from = src.LineStart(row);
+  const size_t shift = text_.size() - from;
+  text_.append(src.text_, from, src.LineEnd(row) - from);
+  for (size_t c = 0; c < columns_; ++c) {
+    cell_starts_.push_back(static_cast<uint32_t>(
+        src.cell_starts_[row * columns_ + c] + shift));
+  }
+  ++rows_;
+}
+
+void RenderedRows::Reserve(size_t bytes, size_t rows) {
+  text_.reserve(text_.size() + bytes);
+  cell_starts_.reserve(cell_starts_.size() + rows * columns_);
+}
+
+size_t RenderedRows::bytes() const {
+  return text_.capacity() + cell_starts_.capacity() * sizeof(uint32_t);
+}
+
+const std::vector<uint32_t>& RenderedAnswer::MergeOrder(bool* built) const {
+  std::call_once(order_once_, [&] {
+    order_.resize(rows_.rows());
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+      return RenderedRows::CompareRows(rows_, a, rows_, b) < 0;
+    });
+    if (built != nullptr) *built = true;
+  });
+  return order_;
+}
+
+// -------------------------------------------------------------- QueryCache
+
 bool QueryCache::Key::operator==(const Key& o) const {
   return db_epoch == o.db_epoch && rules_epoch == o.rules_epoch &&
          options_fp == o.options_fp && predicate == o.predicate &&
@@ -73,12 +187,14 @@ bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
   }
   TermDict& dict = TermDict::Global();
   rows->clear();
-  rows->reserve(answer->row_count);
+  const size_t row_count = answer->rendered.rows().rows();
+  const size_t column_count = answer->rendered.rows().columns();
+  rows->reserve(row_count);
   const uint32_t* id = answer->ids.data();
-  for (size_t r = 0; r < answer->row_count; ++r) {
+  for (size_t r = 0; r < row_count; ++r) {
     std::vector<Value> row;
-    row.reserve(answer->column_count);
-    for (size_t c = 0; c < answer->column_count; ++c) {
+    row.reserve(column_count);
+    for (size_t c = 0; c < column_count; ++c) {
       row.push_back(dict.Get(*id++));
     }
     rows->push_back(std::move(row));
@@ -86,21 +202,48 @@ bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
   return true;
 }
 
+std::shared_ptr<const RenderedAnswer> QueryCache::LookupRendered(
+    const Key& key, bool merge_order) {
+  std::shared_ptr<const Answer> answer;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      CacheMisses()->Increment();
+      return nullptr;
+    }
+    CacheHits()->Increment();
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    answer = it->second.answer;
+  }
+  if (merge_order) {
+    bool built = false;
+    answer->rendered.MergeOrder(&built);
+    if (built) {
+      ChargeEntry(key, answer.get(), answer->rendered.merge_order_bytes());
+    }
+  }
+  return RenderedOf(std::move(answer));
+}
+
 bool QueryCache::Contains(const Key& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.count(key) > 0;
 }
 
-void QueryCache::Store(Key key, const std::vector<std::vector<Value>>& rows,
-                       size_t column_count) {
+std::shared_ptr<const RenderedAnswer> QueryCache::Store(
+    Key key, const std::vector<std::vector<Value>>& rows, size_t column_count,
+    const VideoDatabase* db, bool merge_order) {
+  // Render once, from the rows just computed, with the storing session's
+  // database: the key's epochs pin the symbols the oids print by.
+  auto answer =
+      std::make_shared<Answer>(RenderedRows(rows, column_count, db));
+  if (merge_order) answer->rendered.MergeOrder();
   // Dictionary-encode the answer: 4 bytes per cell plus whatever the
   // dictionary grew by interning values this cache was first to see. Values
   // flowing out of a fixpoint are already interned, so the amortization term
   // is usually zero; charging it here keeps the accounting exact either way.
   TermDict& dict = TermDict::Global();
-  auto answer = std::make_shared<Answer>();
-  answer->column_count = column_count;
-  answer->row_count = rows.size();
   answer->ids.reserve(rows.size() * column_count);
   size_t dict_added = 0;
   for (const auto& row : rows) {
@@ -110,12 +253,16 @@ void QueryCache::Store(Key key, const std::vector<std::vector<Value>>& rows,
       dict_added += in.added_bytes;
     }
   }
-  const size_t bytes = sizeof(Entry) + sizeof(Answer) +
-                       answer->ids.size() * sizeof(uint32_t) + dict_added;
+  const size_t bytes =
+      sizeof(Entry) + sizeof(Answer) +
+      answer->ids.size() * sizeof(uint32_t) + dict_added +
+      answer->rendered.rows().bytes() +
+      (merge_order ? answer->rendered.merge_order_bytes() : 0);
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(key)) return;  // racing identical store; keep first
-  if (bytes > max_bytes_) return;   // larger than the whole byte budget
+  // A racing identical store keeps the first; an answer larger than the
+  // whole byte budget is not stored. Either way the caller gets its own.
+  if (entries_.count(key) || bytes > max_bytes_) return RenderedOf(answer);
   // Byte budget first, entry cap as the secondary bound; LRU evicts first.
   while (!lru_.empty() && (bytes_ + bytes > max_bytes_ ||
                            entries_.size() >= kQueryCacheCapacity)) {
@@ -129,10 +276,31 @@ void QueryCache::Store(Key key, const std::vector<std::vector<Value>>& rows,
   bytes_ += bytes;
   lru_.push_back(key);
   Entry entry;
-  entry.answer = std::move(answer);
+  entry.answer = answer;
   entry.bytes = bytes;
   entry.lru_it = std::prev(lru_.end());
   entries_.emplace(std::move(key), std::move(entry));
+  return RenderedOf(std::move(answer));
+}
+
+std::shared_ptr<const RenderedAnswer> QueryCache::RenderedOf(
+    std::shared_ptr<const Answer> answer) {
+  const RenderedAnswer* rendered = &answer->rendered;
+  return std::shared_ptr<const RenderedAnswer>(std::move(answer), rendered);
+}
+
+void QueryCache::ChargeEntry(const Key& key, const Answer* answer,
+                             size_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  // Evicted, or replaced by another store, since the caller looked it up:
+  // the bytes belong to no entry.
+  if (it == entries_.end() || it->second.answer.get() != answer) return;
+  it->second.bytes += bytes;
+  bytes_ += bytes;
+  if (governor_ != nullptr) governor_->ChargeBytes(bytes);
+  // The entry was just used, so it is the last to go.
+  while (bytes_ > max_bytes_ && !lru_.empty()) EvictLocked(lru_.begin());
 }
 
 void QueryCache::EvictLocked(std::list<Key>::iterator it) {
@@ -179,6 +347,12 @@ size_t QueryCache::size() const {
 size_t QueryCache::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
+}
+
+size_t QueryCache::entry_bytes(const Key& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  return it == entries_.end() ? 0 : it->second.bytes;
 }
 
 size_t QueryCache::max_bytes() const {

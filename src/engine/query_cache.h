@@ -4,16 +4,26 @@
 // first occurrence ("?- p(a, X, X)" and "?- p(a, Y, Y)" share an entry), its
 // resolved bound values, and the database epoch, rules epoch and options
 // fingerprint it depends on, so an entry can never outlive the state it was
-// computed against. Answers are stored dictionary-encoded and bounded twice:
-// a byte budget (16 MiB by default) evicts least-recently-used entries first,
-// and a 256-entry cap is the secondary bound. Retained bytes are charged to
-// the installed governor, if any, until evicted.
+// computed against. Each answer is stored twice over: dictionary-encoded,
+// which Run() decodes back into values, and rendered, one line per row
+// exactly as QueryResult::ToString prints it, which the rendered read paths
+// serve without decoding (QuerySession::QueryRendered, the archive
+// scatter). The rendering is made once, when the answer is stored, with the
+// storing session's database; an entry's order by rendered cell tuple (the
+// archive's merge order) is built at most once, on first request. Entries
+// are bounded twice: a byte budget (16 MiB by default) evicts
+// least-recently-used entries first, and a 256-entry cap is the secondary
+// bound. An entry's bytes count its ids, its rendering and, once built, its
+// merge order; retained bytes are charged to the installed governor, if
+// any, until evicted.
 //
 // Thread-safe: one internal mutex guards the entries, so the sessions over
 // one database may share a cache; the snapshot layer shares one per
-// generation (src/server/snapshot.h). The rules epoch in the key is a
-// per-session counter, so sessions that share a cache must hold the same
-// rules, added in the same order.
+// generation (src/server/snapshot.h). A stored answer is immutable apart
+// from its one-time merge-order build, which is safe under concurrent
+// readers, so readers use it outside the lock. The rules epoch in the key
+// is a per-session counter, so sessions that share a cache must hold the
+// same rules, added in the same order.
 
 #ifndef VQLDB_ENGINE_QUERY_CACHE_H_
 #define VQLDB_ENGINE_QUERY_CACHE_H_
@@ -24,13 +34,94 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/budget.h"
+#include "src/model/database.h"
 #include "src/model/value.h"
 
 namespace vqldb {
+
+/// Appends an answer header, "(N answers) [X, Y]", without its newline.
+void AppendAnswerHeader(size_t rows, const std::vector<std::string>& columns,
+                        std::string* out);
+
+/// Appends `rows` one line each, as RenderedRows renders them; when
+/// `cell_starts` is given, records the offset in `*out` of every cell.
+void AppendAnswerRows(const std::vector<std::vector<Value>>& rows,
+                      const VideoDatabase* db, std::string* out,
+                      std::vector<uint32_t>* cell_starts = nullptr);
+
+/// Answer rows rendered into one buffer, one line per row: two spaces, the
+/// cells joined by ", ", a newline. Oids print by their symbol in `db` when
+/// bound; every other value prints by Value::ToString(). Cell offsets are
+/// kept, so rows can be compared cell by cell and decoded back into cells.
+class RenderedRows {
+ public:
+  RenderedRows() = default;
+  /// No rows yet, of `columns` cells each (AppendRow fills it).
+  explicit RenderedRows(size_t columns) : columns_(columns) {}
+  /// Renders `rows`, each of `columns` values; a null `db` prints oids by
+  /// Value::ToString().
+  RenderedRows(const std::vector<std::vector<Value>>& rows, size_t columns,
+               const VideoDatabase* db);
+
+  size_t rows() const { return rows_; }
+  size_t columns() const { return columns_; }
+  /// Every row's line, in row order.
+  const std::string& text() const { return text_; }
+  std::string_view Cell(size_t row, size_t column) const;
+
+  /// Orders row `a` of `x` against row `b` of `y` (same column count) by
+  /// cell tuple: the first unequal cell decides, compared as strings, as
+  /// std::vector<std::string>'s operator< does. Returns <0, 0 or >0.
+  static int CompareRows(const RenderedRows& x, size_t a,
+                         const RenderedRows& y, size_t b);
+
+  /// Appends row `row` of `src` (same column count).
+  void AppendRow(const RenderedRows& src, size_t row);
+  /// Reserves room for `bytes` of text and `rows` more rows.
+  void Reserve(size_t bytes, size_t rows);
+
+  /// Heap bytes held: the text and the cell offsets.
+  size_t bytes() const;
+
+ private:
+  size_t LineStart(size_t row) const;
+  size_t LineEnd(size_t row) const;
+
+  std::string text_;
+  std::vector<uint32_t> cell_starts_;  // row-major, one per cell
+  size_t rows_ = 0;
+  size_t columns_ = 0;
+};
+
+/// A rendered answer as readers share it: its rows and, built on first
+/// request, their merge order. Immutable apart from that one-time build.
+class RenderedAnswer {
+ public:
+  explicit RenderedAnswer(RenderedRows rows) : rows_(std::move(rows)) {}
+  RenderedAnswer(const RenderedAnswer&) = delete;
+  RenderedAnswer& operator=(const RenderedAnswer&) = delete;
+
+  const RenderedRows& rows() const { return rows_; }
+
+  /// Row indexes ascending by cell tuple (RenderedRows::CompareRows). Built
+  /// by the first call and shared by every later one, also across threads;
+  /// `built`, when given, tells whether this call built it.
+  const std::vector<uint32_t>& MergeOrder(bool* built = nullptr) const;
+  /// Heap bytes of the merge order; call only once MergeOrder() returned.
+  size_t merge_order_bytes() const {
+    return order_.capacity() * sizeof(uint32_t);
+  }
+
+ private:
+  const RenderedRows rows_;
+  mutable std::once_flag order_once_;
+  mutable std::vector<uint32_t> order_;
+};
 
 class QueryCache {
  public:
@@ -53,16 +144,24 @@ class QueryCache {
   /// refreshes the entry's LRU position and counts a hit; otherwise counts
   /// a miss and returns false.
   bool Lookup(const Key& key, std::vector<std::vector<Value>>* rows);
+  /// Lookup() that returns the stored rendering instead of decoding, or
+  /// null on a miss. With `merge_order`, the answer's merge order is built
+  /// if it was not yet, and its bytes are charged to the entry.
+  std::shared_ptr<const RenderedAnswer> LookupRendered(const Key& key,
+                                                       bool merge_order);
   /// Whether `key` has an entry; touches neither the LRU order nor the
   /// hit/miss counters (EXPLAIN).
   bool Contains(const Key& key) const;
 
-  /// Stores `rows` (each of `column_count` values) under `key`, evicting LRU
-  /// entries past the byte budget or the entry cap. An answer larger than
-  /// the whole budget is not stored, and a racing store of a key already
-  /// present keeps the first.
-  void Store(Key key, const std::vector<std::vector<Value>>& rows,
-             size_t column_count);
+  /// Stores `rows` (each of `column_count` values) under `key`, rendered
+  /// with `db`, evicting LRU entries past the byte budget or the entry cap;
+  /// with `merge_order` the merge order is built first and stored with it.
+  /// An answer larger than the whole budget is not stored, and a racing
+  /// store of a key already present keeps the first. Returns the rendered
+  /// answer, stored or not.
+  std::shared_ptr<const RenderedAnswer> Store(
+      Key key, const std::vector<std::vector<Value>>& rows,
+      size_t column_count, const VideoDatabase* db, bool merge_order);
 
   /// Drops every entry, releasing their governor reservations.
   void Clear();
@@ -71,9 +170,13 @@ class QueryCache {
   size_t Shed();
 
   size_t size() const;
-  /// Bytes the cached answers occupy: per entry, its bookkeeping, 4 bytes
-  /// per cell and the dictionary bytes that entry was first to intern.
+  /// Bytes the cached answers occupy: the sum of entry_bytes() over the
+  /// entries.
   size_t bytes() const;
+  /// Bytes accounted to the entry under `key` (0 when absent): its
+  /// bookkeeping, 4 bytes per cell, the dictionary bytes that entry was
+  /// first to intern, its rendering and, once built, its merge order.
+  size_t entry_bytes(const Key& key) const;
   size_t max_bytes() const;
   void set_max_bytes(size_t bytes);
 
@@ -85,12 +188,12 @@ class QueryCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  /// One answer, row-major term-dictionary symbol ids. Immutable once
-  /// stored, so a hit decodes it outside the lock.
+  /// One answer: row-major term-dictionary symbol ids, shaped as its
+  /// rendering's rows and columns, and the rendering.
   struct Answer {
+    explicit Answer(RenderedRows rows) : rendered(std::move(rows)) {}
     std::vector<uint32_t> ids;
-    size_t column_count = 0;
-    size_t row_count = 0;
+    RenderedAnswer rendered;
   };
   struct Entry {
     std::shared_ptr<const Answer> answer;
@@ -98,6 +201,12 @@ class QueryCache {
     std::list<Key>::iterator lru_it;
   };
 
+  /// The rendering inside `answer`, sharing its ownership.
+  static std::shared_ptr<const RenderedAnswer> RenderedOf(
+      std::shared_ptr<const Answer> answer);
+  /// Adds `bytes` to the entry under `key` if it still holds `answer`, then
+  /// evicts LRU entries past the byte budget.
+  void ChargeEntry(const Key& key, const Answer* answer, size_t bytes);
   void ClearLocked();
   void EvictLocked(std::list<Key>::iterator it);
 
@@ -105,7 +214,7 @@ class QueryCache {
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::list<Key> lru_;  // front = least recently used
   size_t bytes_ = 0;
-  size_t max_bytes_ = 16u << 20;  // 16 MiB of cached answer rows
+  size_t max_bytes_ = 16u << 20;  // 16 MiB of cached answers
   std::shared_ptr<ResourceBudget> governor_;
 };
 

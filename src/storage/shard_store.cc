@@ -39,9 +39,50 @@ std::vector<std::string> GoalColumns(const Query& query) {
   return columns;
 }
 
-std::string RenderCell(const VideoDatabase& db, const Value& v) {
-  if (v.is_oid()) return db.DisplayName(v.oid_value());
-  return v.ToString();
+/// K-way merges shard answers, each read in its merge order, and drops
+/// adjacent duplicates: the rows std::sort + std::unique over their cell
+/// vectors would give, without rendering or sorting anything again. Rows
+/// are compared cell by cell, never as joined lines: cells "a" and "a b"
+/// order differently once ", " follows them.
+RenderedRows MergeRuns(
+    const std::vector<std::shared_ptr<const RenderedAnswer>>& runs,
+    size_t columns) {
+  struct Cursor {
+    const RenderedRows* rows;
+    const std::vector<uint32_t>* order;
+    size_t next;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(runs.size());
+  size_t bytes = 0;
+  size_t rows = 0;
+  for (const auto& run : runs) {
+    cursors.push_back({&run->rows(), &run->MergeOrder(), 0});
+    bytes += run->rows().text().size();
+    rows += run->rows().rows();
+  }
+  RenderedRows merged(columns);
+  merged.Reserve(bytes, rows);
+  for (;;) {
+    // Shards are few, so a linear scan finds the least head.
+    Cursor* least = nullptr;
+    for (Cursor& c : cursors) {
+      if (c.next == c.order->size()) continue;
+      if (least == nullptr ||
+          RenderedRows::CompareRows(*c.rows, (*c.order)[c.next], *least->rows,
+                                    (*least->order)[least->next]) < 0) {
+        least = &c;
+      }
+    }
+    if (least == nullptr) break;
+    const size_t row = (*least->order)[least->next++];
+    if (merged.rows() == 0 ||
+        RenderedRows::CompareRows(*least->rows, row, merged,
+                                  merged.rows() - 1) != 0) {
+      merged.AppendRow(*least->rows, row);
+    }
+  }
+  return merged;
 }
 
 }  // namespace
@@ -559,6 +600,13 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   ArchiveQueryResult result;
   result.columns = GoalColumns(query);
   result.reports.reserve(shards_.size());
+  // Each answering shard's rows, rendered shard-side (oids are shard-local)
+  // and with their merge order built. A cached answer keeps both, so a
+  // repeated scan renders and sorts nothing; an answer that bypasses the
+  // cache (sys_* goals, a degraded scatter, an entry over budget) is
+  // rendered and sorted for this scan alone, in the same form.
+  std::vector<std::shared_ptr<const RenderedAnswer>> runs;
+  runs.reserve(shards_.size());
 
   // Pre-scan shard health before touching any session. In strict mode a
   // doomed scatter fails up front, before any shard runs (and caches) a
@@ -647,7 +695,8 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     const auto saved_cancel = session_options->cancel;
     if (options.deadline.has_value()) session_options->deadline = options.deadline;
     if (options.cancel != nullptr) session_options->cancel = options.cancel;
-    Result<QueryResult> answer = s.session->Run(query);
+    Result<std::shared_ptr<const RenderedAnswer>> answer =
+        s.session->RunRendered(query);
     session_options = s.session->mutable_options();
     session_options->deadline = saved_deadline;
     session_options->cancel = saved_cancel;
@@ -673,14 +722,9 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     }
 
     report.answered = true;
-    report.rows = answer->rows.size();
+    report.rows = (*answer)->rows().rows();
     ++result.shards_answered;
-    for (const auto& row : answer->rows) {
-      std::vector<std::string> rendered;
-      rendered.reserve(row.size());
-      for (const Value& v : row) rendered.push_back(RenderCell(*s.db, v));
-      result.rows.push_back(std::move(rendered));
-    }
+    if (report.rows > 0) runs.push_back(std::move(*answer));
     result.reports.push_back(std::move(report));
   }
 
@@ -698,9 +742,7 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
 
   // Deterministic merge: answers are independent of shard order, recovery
   // history, and (for replicated seeds like sys_shards) shard count.
-  std::sort(result.rows.begin(), result.rows.end());
-  result.rows.erase(std::unique(result.rows.begin(), result.rows.end()),
-                    result.rows.end());
+  result.rendered = MergeRuns(runs, result.columns.size());
 
   exec_info_.partial = result.partial;
   exec_info_.shards_targeted = result.shards_targeted;
@@ -709,38 +751,36 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   return result;
 }
 
+std::vector<std::vector<std::string>>
+ShardedArchive::ArchiveQueryResult::rows() const {
+  std::vector<std::vector<std::string>> out(rendered.rows());
+  for (size_t r = 0; r < out.size(); ++r) {
+    out[r].reserve(rendered.columns());
+    for (size_t c = 0; c < rendered.columns(); ++c) {
+      out[r].emplace_back(rendered.Cell(r, c));
+    }
+  }
+  return out;
+}
+
 std::string ShardedArchive::ArchiveQueryResult::ToString() const {
-  std::ostringstream os;
-  os << "(" << rows.size() << " answer" << (rows.size() == 1 ? "" : "s")
-     << ")";
-  if (!columns.empty()) {
-    os << " [";
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (i) os << ", ";
-      os << columns[i];
-    }
-    os << "]";
-  }
-  if (partial) os << " PARTIAL";
-  os << "\n";
-  for (const auto& row : rows) {
-    os << "  ";
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ", ";
-      os << row[i];
-    }
-    os << "\n";
-  }
+  std::string out;
+  out.reserve(64 + rendered.text().size());
+  AppendAnswerHeader(size(), columns, &out);
+  if (partial) out.append(" PARTIAL");
+  out.push_back('\n');
+  out.append(rendered.text());
   if (partial) {
-    os << "partial answer: " << shards_answered << "/" << shards_targeted
-       << " targeted shards answered\n";
+    out.append("partial answer: " + std::to_string(shards_answered) + "/" +
+               std::to_string(shards_targeted) +
+               " targeted shards answered\n");
     for (const ShardReport& r : reports) {
       if (r.error.empty()) continue;
-      os << "  missing shard " << r.shard_id << " [" << r.state
-         << "]: " << r.error << "\n";
+      out.append("  missing shard " + std::to_string(r.shard_id) + " [" +
+                 r.state + "]: " + r.error + "\n");
     }
   }
-  return os.str();
+  return out;
 }
 
 Result<std::string> ShardedArchive::Explain(std::string_view query_text,

@@ -44,10 +44,14 @@
 //
 // Scatter-gather queries: the goal is pruned against each shard (a shard
 // that cannot resolve one of the goal's constant symbols cannot hold a
-// matching fact), evaluated on every surviving shard's session, and the
-// per-shard answers — rendered to display strings shard-side, because oids
-// are shard-local — are merged sorted and deduplicated, so the merged
-// answer is deterministic regardless of shard count or recovery order.
+// matching fact) and evaluated on every surviving shard's session. Each
+// shard answers rendered to display strings — shard-side, because oids are
+// shard-local — and with its rows' order by cell tuple; both are kept in
+// the shard's query-cache entry, so a repeated goal re-renders and re-sorts
+// nothing. The scatter k-way merges these pre-sorted runs and drops
+// adjacent duplicates, so the merged answer is the one sorting and
+// deduplicating every rendered row would give: deterministic regardless of
+// shard count or recovery order.
 
 #ifndef VQLDB_STORAGE_SHARD_STORE_H_
 #define VQLDB_STORAGE_SHARD_STORE_H_
@@ -149,18 +153,21 @@ class ShardedArchive {
   };
 
   /// A merged scatter-gather answer. Rows are rendered to display strings
-  /// (oids print as their shard-local symbols) and merged sorted + deduped.
+  /// (oids print as their shard-local symbols), ordered by cell tuple and
+  /// deduplicated.
   struct ArchiveQueryResult {
     std::vector<std::string> columns;
-    std::vector<std::vector<std::string>> rows;
+    RenderedRows rendered;  // the merged rows, one line each
     bool partial = false;  // some targeted shard could not answer
     size_t shards_targeted = 0;
     size_t shards_answered = 0;
     size_t shards_pruned = 0;
     std::vector<ShardReport> reports;  // one per shard, by shard_id
 
-    size_t size() const { return rows.size(); }
-    bool empty() const { return rows.empty(); }
+    size_t size() const { return rendered.rows(); }
+    bool empty() const { return size() == 0; }
+    /// The merged rows decoded into their cells.
+    std::vector<std::vector<std::string>> rows() const;
     /// Tabular rendering plus, for partial answers, the completeness report.
     std::string ToString() const;
   };

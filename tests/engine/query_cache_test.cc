@@ -1,7 +1,8 @@
 // The memoizing query cache: hits without re-evaluation, epoch-based
 // invalidation on database mutation (direct and via journal replay),
 // canonical variable renaming, the LRU capacity bound, the epoch subtlety
-// of constructive evaluation, and one cache shared by two sessions.
+// of constructive evaluation, one cache shared by two sessions, and the
+// byte accounting of entries that carry their rendering and merge order.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <thread>
 
 #include "src/engine/query.h"
+#include "src/model/term_dict.h"
 #include "src/obs/metrics.h"
 #include "src/storage/journal.h"
 
@@ -319,6 +321,135 @@ TEST(SharedQueryCacheTest, SessionsShareOneCacheWithExactBytes) {
     ASSERT_EQ(cache->size(), 1u);
     ASSERT_EQ(one.query_cache_bytes(), entry_bytes) << "round " << round;
   }
+}
+
+// ------------------------------------------------------ byte accounting
+
+QueryCache::Key KeyFor(const std::string& predicate) {
+  QueryCache::Key key;
+  key.predicate = predicate;
+  key.pattern = "v0";
+  key.db_epoch = 1;
+  return key;
+}
+
+/// `n` one-column rows over fresh entities of `db` named `prefix<i>`, their
+/// values already interned so that storing them adds no dictionary bytes.
+std::vector<std::vector<Value>> EntityRows(VideoDatabase* db,
+                                           const std::string& prefix,
+                                           int n) {
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < n; ++i) {
+    Value v = Value::Oid(*db->CreateEntity(prefix + std::to_string(i)));
+    TermDict::Global().Intern(v);
+    rows.push_back({v});
+  }
+  return rows;
+}
+
+TEST(QueryCacheAccountingTest, EntryBytesIncludeRenderingAndMergeOrder) {
+  // Two databases bind the same oids to short and to long symbols, so the
+  // same ids render to texts of different lengths.
+  VideoDatabase short_db;
+  VideoDatabase long_db;
+  const auto rows = EntityRows(&short_db, "s", 50);
+  ASSERT_EQ(EntityRows(&long_db, "a_much_longer_symbol_", 50), rows);
+
+  QueryCache cache;
+  const QueryCache::Key short_key = KeyFor("short");
+  const QueryCache::Key long_key = KeyFor("long");
+  auto short_answer = cache.Store(short_key, rows, 1, &short_db, false);
+  auto long_answer = cache.Store(long_key, rows, 1, &long_db, false);
+  ASSERT_EQ(cache.size(), 2u);
+  EXPECT_EQ(short_answer->rows().text().substr(0, 5), "  s0\n");
+  EXPECT_EQ(long_answer->rows().Cell(49, 0), "a_much_longer_symbol_49");
+
+  // The entries differ only in their renderings, and so do their bytes.
+  const size_t short_bytes = cache.entry_bytes(short_key);
+  const size_t long_bytes = cache.entry_bytes(long_key);
+  EXPECT_EQ(long_bytes - short_bytes,
+            long_answer->rows().bytes() - short_answer->rows().bytes());
+  EXPECT_GE(long_bytes - short_bytes, 50u * 20);
+  EXPECT_GE(short_answer->rows().bytes(),
+            short_answer->rows().text().size() + 50 * sizeof(uint32_t));
+  EXPECT_EQ(cache.bytes(), short_bytes + long_bytes);
+
+  // The merge order is charged to its entry once, when first built.
+  auto ordered = cache.LookupRendered(short_key, /*merge_order=*/true);
+  ASSERT_EQ(ordered, short_answer);
+  EXPECT_EQ(ordered->merge_order_bytes(), 50 * sizeof(uint32_t));
+  EXPECT_EQ(cache.entry_bytes(short_key),
+            short_bytes + 50 * sizeof(uint32_t));
+  ASSERT_NE(cache.LookupRendered(short_key, true), nullptr);
+  EXPECT_EQ(cache.entry_bytes(short_key),
+            short_bytes + 50 * sizeof(uint32_t));
+  EXPECT_EQ(cache.bytes(), cache.entry_bytes(short_key) + long_bytes);
+
+  // A store that asks for the merge order charges it from the start.
+  const QueryCache::Key eager_key = KeyFor("eager");
+  cache.Store(eager_key, rows, 1, &short_db, /*merge_order=*/true);
+  EXPECT_EQ(cache.entry_bytes(eager_key),
+            short_bytes + 50 * sizeof(uint32_t));
+}
+
+TEST(QueryCacheAccountingTest, BytesAreTheSumOverEntriesThroughEveryChange) {
+  VideoDatabase db;
+  QueryCache cache;
+  std::vector<QueryCache::Key> keys;
+  auto sum = [&] {
+    size_t total = 0;
+    for (const auto& key : keys) total += cache.entry_bytes(key);
+    return total;
+  };
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back(KeyFor("p" + std::to_string(i)));
+    cache.Store(keys.back(), EntityRows(&db, "e" + std::to_string(i) + "_",
+                                        10 + i),
+                1, &db, /*merge_order=*/i % 2 == 0);
+    EXPECT_EQ(cache.bytes(), sum()) << "store " << i;
+  }
+  for (const auto& key : keys) {
+    std::vector<std::vector<Value>> decoded;
+    ASSERT_TRUE(cache.Lookup(key, &decoded));
+    ASSERT_NE(cache.LookupRendered(key, /*merge_order=*/true), nullptr);
+    EXPECT_EQ(cache.bytes(), sum());
+  }
+
+  // Eviction: a budget of half the bytes evicts LRU entries on the next
+  // store, and building a merge order past the budget evicts too.
+  cache.set_max_bytes(cache.bytes() / 2);
+  keys.push_back(KeyFor("late"));
+  cache.Store(keys.back(), EntityRows(&db, "late", 40), 1, &db, false);
+  EXPECT_LT(cache.size(), keys.size());
+  EXPECT_LE(cache.bytes(), cache.max_bytes());
+  EXPECT_EQ(cache.bytes(), sum());
+  cache.set_max_bytes(cache.bytes() + 8);
+  ASSERT_NE(cache.LookupRendered(keys.back(), /*merge_order=*/true), nullptr);
+  EXPECT_LE(cache.bytes(), cache.max_bytes());
+  EXPECT_NE(cache.entry_bytes(keys.back()), 0u);
+  EXPECT_EQ(cache.bytes(), sum());
+
+  const size_t held = cache.bytes();
+  EXPECT_EQ(cache.Shed(), held);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(sum(), 0u);
+}
+
+TEST(QueryCacheAccountingTest, GovernorReservationReturnsToZeroAfterClear) {
+  auto governor = std::make_shared<ResourceBudget>();
+  VideoDatabase db;
+  QueryCache cache;
+  cache.set_governor(governor);
+  for (int i = 0; i < 4; ++i) {
+    const QueryCache::Key key = KeyFor("g" + std::to_string(i));
+    cache.Store(key, EntityRows(&db, "g" + std::to_string(i) + "_", 20), 1,
+                &db, /*merge_order=*/false);
+    ASSERT_NE(cache.LookupRendered(key, /*merge_order=*/i % 2 == 0), nullptr);
+  }
+  EXPECT_GT(governor->bytes_reserved(), 0u);
+  EXPECT_EQ(governor->bytes_reserved(), cache.bytes());
+  cache.Clear();
+  EXPECT_EQ(governor->bytes_reserved(), 0u);
 }
 
 }  // namespace

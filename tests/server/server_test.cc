@@ -40,6 +40,14 @@ int64_t CounterIn(const std::string& scrape, const std::string& name) {
   return std::stoll(scrape.substr(at + prefix.size()));
 }
 
+// The value of sample `name` in a Prometheus text scrape; -1 if absent.
+double SampleIn(const std::string& scrape, const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  size_t at = scrape.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::stod(scrape.substr(at + prefix.size()));
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   std::unique_ptr<Server> StartServer(ServerOptions options) {
@@ -299,6 +307,23 @@ TEST_F(ServerTest, HealthzAndMetricsOverHttp) {
       CounterIn(*after, "vqldb_server_snapshots_built_total");
   EXPECT_GT(built_after, 0);
   EXPECT_GT(built_after, built_before);
+
+  // Request latency is observed in fractional milliseconds, so cached
+  // reads that each take well under a millisecond still add to the sum.
+  const double sum_before = SampleIn(*after, "vqldb_server_request_ms_sum");
+  const double count_before =
+      SampleIn(*after, "vqldb_server_request_ms_count");
+  ASSERT_GE(sum_before, 0);
+  for (int i = 0; i < 20; ++i) {
+    auto hit = client.Query("?- p(X, Y).");
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE((*hit).ok()) << hit->body;
+  }
+  auto timed = HttpGet("127.0.0.1", server->port(), "/metrics");
+  ASSERT_TRUE(timed.ok());
+  EXPECT_GE(SampleIn(*timed, "vqldb_server_request_ms_count"),
+            count_before + 20);
+  EXPECT_GT(SampleIn(*timed, "vqldb_server_request_ms_sum"), sum_before);
 
   int status = 0;
   auto missing =

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/engine/query.h"
+#include "src/lang/parser.h"
 #include "src/model/database.h"
 
 namespace vqldb {
@@ -257,10 +258,13 @@ TEST(SnapshotManagerTest, ConstructiveRulesGiveEachLeaseAPrivateCopy) {
   EXPECT_FALSE((*ext_snapshot)->shared());
 }
 
-TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
-  // A small news timeline with the browse rules: every reader thread must
-  // get the single-threaded answer, whether it evaluates over the shared
-  // copy or hits the shared cache.
+/// A small news timeline with the browse rules, and goals over it.
+struct NewsTimeline {
+  std::string program;
+  std::vector<std::string> goals;
+};
+
+NewsTimeline MakeNewsTimeline() {
   std::string program =
       "appears(O, G) <- Interval(G), Object(O), O in G.entities.\n"
       "cooccur(O1, O2, G) <- Interval(G), Object(O1), Object(O2), "
@@ -295,6 +299,13 @@ TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
   for (int k = 0; k < kScenes; k += 3) {
     goals.push_back("?- contains(s" + std::to_string(k) + ", G).");
   }
+  return {program, goals};
+}
+
+TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
+  // Every reader thread must get the single-threaded answer, whether it
+  // evaluates over the shared copy or hits the shared cache.
+  const auto [program, goals] = MakeNewsTimeline();
 
   VideoDatabase serial_db;
   QuerySession serial(&serial_db);
@@ -343,6 +354,78 @@ TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_LE((*snapshot)->sessions_built(), 4u);
+  EXPECT_EQ(manager.snapshots_built(), 1u);
+}
+
+TEST(SnapshotManagerTest, ConcurrentRenderedReadersOfOneGenerationMatchSerial) {
+  // Eight threads read one generation through the rendered path and share
+  // its cache entries: every body must be the serial ToString bytes. Then
+  // all eight ask for the merge orders of those entries at once, so each
+  // order is first requested by several threads together.
+  const auto [program, goals] = MakeNewsTimeline();
+  VideoDatabase serial_db;
+  QuerySession serial(&serial_db);
+  ASSERT_TRUE(serial.Load(program).ok());
+  std::vector<std::string> expected;
+  std::vector<Query> parsed;
+  for (const std::string& goal : goals) {
+    auto result = serial.Query(goal);
+    ASSERT_TRUE(result.ok()) << goal << ": " << result.status().ToString();
+    expected.push_back(result->ToString(&serial_db));
+    auto query = Parser::ParseQuery(goal);
+    ASSERT_TRUE(query.ok());
+    parsed.push_back(*query);
+  }
+
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 8);
+  ASSERT_TRUE(manager.Apply(program).ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE((*snapshot)->shared());
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> misordered{0};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      // Misses and hits interleave: threads start at different goals.
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < goals.size(); ++i) {
+          const size_t g = (i + static_cast<size_t>(t) * 5) % goals.size();
+          auto lease = (*snapshot)->Acquire();
+          ASSERT_TRUE(lease.ok());
+          auto body = lease->session()->QueryRendered(goals[g]);
+          ASSERT_TRUE(body.ok()) << body.status().ToString();
+          if (*body != expected[g]) ++mismatches;
+        }
+      }
+      // Every entry is cached without its merge order; all threads now
+      // request the orders in the same sequence.
+      ready.fetch_add(1);
+      while (ready.load() < 8) {
+      }
+      for (size_t g = 0; g < goals.size(); ++g) {
+        auto lease = (*snapshot)->Acquire();
+        ASSERT_TRUE(lease.ok());
+        auto rendered = lease->session()->RunRendered(parsed[g]);
+        ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+        const RenderedRows& rows = (*rendered)->rows();
+        const std::vector<uint32_t>& order = (*rendered)->MergeOrder();
+        if (order.size() != rows.rows()) ++misordered;
+        for (size_t k = 1; k < order.size(); ++k) {
+          if (RenderedRows::CompareRows(rows, order[k - 1], rows,
+                                        order[k]) > 0) {
+            ++misordered;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(misordered.load(), 0);
   EXPECT_EQ(manager.snapshots_built(), 1u);
 }
 

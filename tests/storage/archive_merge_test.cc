@@ -1,0 +1,303 @@
+// The archive scatter's merge against a reference kept here: the algorithm
+// the scatter used before it merged pre-sorted shard renderings. Every
+// answering shard's rows are evaluated on a private, uncached session over
+// that shard's database, every cell is rendered to a std::string, the cell
+// vectors are std::sort-ed and std::unique-d, and the result is printed.
+// Seeded random archives of 1-4 shards hold rows duplicated across shards,
+// cells with ' ', ',' and '"', numbers whose text order differs from their
+// numeric order, and shards that hold nothing; each goal is asked twice
+// (shard caches miss, then hit), also with a shard killed under
+// allow_partial (a degraded scatter, shard caches suppressed).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "src/lang/parser.h"
+#include "src/storage/shard_store.h"
+
+namespace vqldb {
+namespace {
+
+constexpr const char* kRules[] = {
+    "pair(O, L, N) <- tag(O, L), num(O, N).",
+    "dup(O, L) <- tag(O, L).",
+    "dup(O, L) <- alias(O, L).",
+};
+
+constexpr const char* kGoals[] = {
+    "?- tag(O, L).",
+    "?- tag(O, \"a b\").",
+    "?- tag(o1, L).",
+    "?- tag(o1, \"a\").",
+    "?- tag(o9, \"zz\").",
+    "?- num(O, N).",
+    "?- pair(O, L, N).",
+    "?- dup(O, L).",
+    "?- dup(O, O).",
+    "?- alias(X, Y).",
+    "?- never_declared(X).",
+};
+
+// Labels sort differently as cells than as joined lines: "a" < "a b" as
+// cells, but "a, x" > "a b, x" as lines.
+constexpr const char* kLabels[] = {
+    "\"a\"",    "\"a b\"", "\"a, b\"", "\"a,b\"", "\"say \\\"hi\\\"\"",
+    "\"b\"",    "\"\"",    "\"a b,\"", "\" a\"",
+};
+constexpr const char* kSymbols[] = {"o1", "o10", "o2", "o1x", "oa", "o9"};
+constexpr const char* kNumbers[] = {"1", "10", "2", "-3", "2.5", "100"};
+
+std::string TenantFor(const ShardedArchive& archive, uint32_t shard) {
+  for (int i = 0;; ++i) {
+    std::string tenant = "tenant" + std::to_string(i);
+    if (archive.ShardIdFor(tenant) == shard) return tenant;
+  }
+}
+
+/// The pre-merge algorithm: every cell of every live shard's answer
+/// rendered to a string, then sort, unique and print.
+std::string ReferenceBody(ShardedArchive& archive, const std::string& goal,
+                          const std::vector<uint32_t>& dead) {
+  // Columns come from the goal (its distinct variables in order), since no
+  // shard need answer.
+  std::vector<std::string> columns;
+  auto query = Parser::ParseQuery(goal);
+  EXPECT_TRUE(query.ok()) << query.status();
+  for (const Term& t : query->goal.args) {
+    if (t.kind == Term::Kind::kVariable &&
+        std::find(columns.begin(), columns.end(), t.variable) ==
+            columns.end()) {
+      columns.push_back(t.variable);
+    }
+  }
+  std::vector<std::vector<std::string>> rows;
+  bool partial = false;
+  for (uint32_t id = 0; id < archive.shard_count(); ++id) {
+    if (std::find(dead.begin(), dead.end(), id) != dead.end()) {
+      partial = true;
+      continue;
+    }
+    VideoDatabase* db = archive.shard_db(id);
+    QuerySession session(db);
+    session.set_cache_enabled(false);
+    for (const char* rule : kRules) EXPECT_TRUE(session.AddRule(rule).ok());
+    auto answer = session.Query(goal);
+    if (!answer.ok()) {
+      // A symbol or relation the shard never saw: provably empty.
+      EXPECT_TRUE(answer.status().IsNotFound()) << answer.status();
+      continue;
+    }
+    EXPECT_EQ(answer->columns, columns);
+    for (const auto& row : answer->rows) {
+      std::vector<std::string> cells;
+      for (const Value& v : row) {
+        cells.push_back(v.is_oid() ? db->DisplayName(v.oid_value())
+                                   : v.ToString());
+      }
+      rows.push_back(std::move(cells));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  std::string out = "(" + std::to_string(rows.size()) +
+                    (rows.size() == 1 ? " answer)" : " answers)");
+  if (!columns.empty()) {
+    out += " [";
+    for (size_t i = 0; i < columns.size(); ++i) {
+      out += (i ? ", " : "") + columns[i];
+    }
+    out += "]";
+  }
+  out += partial ? " PARTIAL\n" : "\n";
+  for (const auto& row : rows) {
+    out += "  ";
+    for (size_t i = 0; i < row.size(); ++i) out += (i ? ", " : "") + row[i];
+    out += "\n";
+  }
+  return out;
+}
+
+class ArchiveMergeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = ::testing::TempDir() + "/archive_merge_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(root_);
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  static ShardedArchive::Options Options(size_t shards) {
+    ShardedArchive::Options options;
+    options.shard_count = shards;
+    options.durability = Journal::Durability::kFlush;
+    options.backoff.initial_ms = 1;
+    options.backoff.max_ms = 2;
+    options.backoff.max_attempts = 2;
+    options.sleep_between_retries = false;
+    options.recovery_threads = 2;
+    return options;
+  }
+
+  /// Fills every shard but the last (which stays empty when there are
+  /// several) with random facts over shard-local symbols. The pools are
+  /// small, so the same rows land on several shards.
+  static void Populate(ShardedArchive& archive, uint32_t seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](const auto& pool) {
+      return std::string(pool[rng() % std::size(pool)]);
+    };
+    const uint32_t filled = archive.shard_count() == 1
+                                ? 1
+                                : static_cast<uint32_t>(archive.shard_count()) - 1;
+    for (uint32_t id = 0; id < filled; ++id) {
+      const std::string tenant = TenantFor(archive, id);
+      std::string program;
+      for (const char* sym : kSymbols) {
+        if (rng() % 4 != 0) program += "object " + std::string(sym) + " { }. ";
+      }
+      ASSERT_TRUE(archive.Apply(tenant, program).ok()) << program;
+      auto resolves = [&](const std::string& sym) {
+        return archive.shard_db(id)->Resolve(sym).ok();
+      };
+      for (int i = 0; i < 12; ++i) {
+        const std::string sym = pick(kSymbols);
+        if (!resolves(sym)) continue;
+        std::string text;
+        switch (rng() % 3) {
+          case 0:
+            text = "tag(" + sym + ", " + pick(kLabels) + ").";
+            break;
+          case 1:
+            text = "num(" + sym + ", " + pick(kNumbers) + ").";
+            break;
+          default: {
+            std::string other = pick(kSymbols);
+            if (!resolves(other)) other = sym;
+            text = "alias(" + sym + ", " + other + ").";
+            break;
+          }
+        }
+        ASSERT_TRUE(archive.Apply(tenant, text).ok()) << text;
+      }
+    }
+    for (const char* rule : kRules) {
+      ASSERT_TRUE(archive.Apply("rules", rule).ok()) << rule;
+    }
+  }
+
+  /// Asks every goal twice and compares each answer with the reference.
+  static void ExpectEveryGoalMatches(ShardedArchive& archive,
+                                     const std::vector<uint32_t>& dead) {
+    ShardedArchive::QueryOptions options;
+    options.allow_partial = !dead.empty();
+    for (const char* goal : kGoals) {
+      SCOPED_TRACE(goal);
+      const std::string want = ReferenceBody(archive, goal, dead);
+      for (int ask = 0; ask < 2; ++ask) {
+        auto got = archive.Query(goal, options);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->partial, !dead.empty());
+        const std::string body = got->ToString();
+        // A partial answer ends with its completeness report.
+        EXPECT_EQ(body.substr(0, want.size()), want) << "ask " << ask;
+        EXPECT_EQ(body.size() > want.size(), !dead.empty()) << body;
+        // The decoded cells agree with the text.
+        const auto rows = got->rows();
+        ASSERT_EQ(rows.size(), got->size());
+        EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+        EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+      }
+    }
+  }
+
+  std::string root_;
+};
+
+TEST_F(ArchiveMergeTest, MergedAnswersMatchTheSortAndUniqueReference) {
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    for (uint32_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", seed " +
+                   std::to_string(seed));
+      std::filesystem::remove_all(root_);
+      auto archive = ShardedArchive::Open(root_, Options(shards));
+      ASSERT_TRUE(archive.ok()) << archive.status();
+      Populate(**archive, seed * 101 + static_cast<uint32_t>(shards));
+      ExpectEveryGoalMatches(**archive, {});
+    }
+  }
+}
+
+TEST_F(ArchiveMergeTest, KilledShardUnderAllowPartialMatchesTheReference) {
+  for (size_t shards = 2; shards <= 4; ++shards) {
+    for (uint32_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", seed " +
+                   std::to_string(seed));
+      std::filesystem::remove_all(root_);
+      auto archive = ShardedArchive::Open(root_, Options(shards));
+      ASSERT_TRUE(archive.ok()) << archive.status();
+      ShardedArchive& a = **archive;
+      Populate(a, seed * 7 + static_cast<uint32_t>(shards));
+      // Warm the shard caches with complete scatters first.
+      ExpectEveryGoalMatches(a, {});
+      // A degraded scatter runs the live shards with caches suppressed.
+      a.KillShard(0);
+      ExpectEveryGoalMatches(a, {0});
+      ASSERT_TRUE(a.RecoverShard(0).ok());
+      ExpectEveryGoalMatches(a, {});
+    }
+  }
+}
+
+TEST_F(ArchiveMergeTest, RowsOrderByCellsNotByJoinedLines) {
+  // The language only makes identifier symbols, but a database binds any
+  // non-empty symbol. With cells "a" and "a b", the cell tuples order
+  // (a, z) first, while the joined lines "a, z" and "a b, y" order the
+  // other way round (',' sorts after ' ').
+  auto archive = ShardedArchive::Open(root_, Options(2));
+  ASSERT_TRUE(archive.ok()) << archive.status();
+  ShardedArchive& a = **archive;
+  auto seed = [&](uint32_t shard, const std::vector<std::string>& row) {
+    VideoDatabase* db = a.shard_db(shard);
+    std::vector<Value> args;
+    for (const std::string& symbol : row) {
+      auto id = db->Resolve(symbol);
+      args.push_back(
+          Value::Oid(id.ok() ? *id : *db->CreateEntity(symbol)));
+    }
+    ASSERT_TRUE(db->AssertFact("rel", args).ok());
+  };
+  seed(0, {"a b", "y"});
+  seed(0, {"a", "z"});
+  seed(1, {"a", "z"});
+  seed(1, {"a!", "x"});
+  seed(1, {"a b", "y"});
+  const std::string want = ReferenceBody(a, "?- rel(X, Y).", {});
+  EXPECT_EQ(want, "(3 answers) [X, Y]\n  a, z\n  a b, y\n  a!, x\n");
+  for (int ask = 0; ask < 2; ++ask) {
+    auto got = a.Query("?- rel(X, Y).");
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->ToString(), want) << "ask " << ask;
+  }
+}
+
+TEST_F(ArchiveMergeTest, SystemGoalsBypassShardCachesAndStillMerge) {
+  auto archive = ShardedArchive::Open(root_, Options(3));
+  ASSERT_TRUE(archive.ok()) << archive.status();
+  Populate(**archive, 5);
+  // Every shard seeds the same sys_shards rows; the merge keeps one copy.
+  for (int ask = 0; ask < 2; ++ask) {
+    auto got = (*archive)->Query("?- sys_shards(S, St, F, R, D, Rec, E).");
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->size(), 3u);
+    const auto rows = got->rows();
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  }
+}
+
+}  // namespace
+}  // namespace vqldb

@@ -226,9 +226,10 @@ TEST_F(ShardStoreTest, ScatterGatherMergesSortedAndDeduped) {
   auto result = archive->Query("?- tagged(X).");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->columns, std::vector<std::string>{"X"});
-  ASSERT_EQ(result->rows.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(result->rows.begin(), result->rows.end()));
-  EXPECT_EQ(result->rows[0], std::vector<std::string>{"sym0"});
+  const std::vector<std::vector<std::string>> rows = result->rows();
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_EQ(rows[0], std::vector<std::string>{"sym0"});
   EXPECT_EQ(result->shards_targeted, 4u);
   EXPECT_EQ(result->shards_answered, 4u);
   EXPECT_EQ(archive->last_exec_info().shards_answered, 4u);
@@ -419,7 +420,7 @@ TEST_F(ShardStoreTest, DegradedScatterNeverPopulatesShardCaches) {
   auto caches = archive->Query("?- sys_cache(K, E, N, B, M).", partial_opts);
   ASSERT_TRUE(caches.ok()) << caches.status();
   bool saw_query_row = false;
-  for (const auto& row : caches->rows) {
+  for (const auto& row : caches->rows()) {
     ASSERT_EQ(row.size(), 5u);
     if (row[0] != "\"query\"" && row[0] != "query") continue;
     saw_query_row = true;
@@ -433,14 +434,14 @@ TEST_F(ShardStoreTest, DegradedScatterNeverPopulatesShardCaches) {
   auto full = archive->Query("?- tagged(X).");
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_FALSE(full->partial);
-  EXPECT_EQ(full->rows, before->rows);
+  EXPECT_EQ(full->rows(), before->rows());
 
   // The goal suppressed during degradation now answers (and caches)
   // normally, still with the same rows.
   auto again = archive->Query("?- tagged(sym0).");
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_FALSE(again->partial);
-  EXPECT_EQ(again->rows, partial->rows);
+  EXPECT_EQ(again->rows(), partial->rows());
 }
 
 TEST_F(ShardStoreTest, RecoveryRetriesWithBackoffUntilTheFaultClears) {
@@ -664,7 +665,7 @@ TEST_F(ShardStoreTest, SysShardsReportsEveryShardThroughArchiveQueries) {
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 3u);
   std::set<std::string> states;
-  for (const auto& row : result->rows) {
+  for (const auto& row : result->rows()) {
     ASSERT_EQ(row.size(), 7u);
     states.insert(row[1]);
   }

@@ -337,7 +337,8 @@ cmake --build build-asan -j "$JOBS" \
            term_dict_test columnar_test columnar_accounting_test \
            backoff_test shard_manifest_test shard_store_test \
            qsqr_test planner_test wire_test http_test snapshot_test \
-           server_test differential_oracle_test
+           server_test differential_oracle_test query_cache_test \
+           rendered_query_test archive_merge_test
 
 echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner + oracle =="
 ./build-asan/tests/budget_test
@@ -349,9 +350,14 @@ echo "== asan: budget + gate + governor + dictionary + columnar + shards + plann
 ./build-asan/tests/backoff_test
 ./build-asan/tests/shard_manifest_test
 ./build-asan/tests/shard_store_test
+./build-asan/tests/archive_merge_test
 ./build-asan/tests/qsqr_test
 ./build-asan/tests/planner_test
 ./build-asan/tests/differential_oracle_test
+
+echo "== asan: answer cache + rendered answers (cells are views into cached buffers) =="
+./build-asan/tests/query_cache_test
+./build-asan/tests/rendered_query_test
 
 echo "== asan: server protocol + end-to-end (framing, sessions, drain) =="
 ./build-asan/tests/wire_test
@@ -365,7 +371,8 @@ cmake --build build-tsan -j "$JOBS" \
   --target parallel_determinism_test thread_pool_test gate_stress_test \
            term_dict_test columnar_test stats_test shard_store_test \
            strategy_property_test server_test snapshot_isolation_test \
-           snapshot_test query_cache_test differential_oracle_test
+           snapshot_test query_cache_test differential_oracle_test \
+           rendered_query_test archive_merge_test
 
 echo "== tsan: parallel determinism + thread pool + gate stress + columnar + shards + strategies + oracle =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_determinism_test
@@ -375,6 +382,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/term_dict_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/columnar_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/stats_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_store_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/archive_merge_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/strategy_property_test \
     --gtest_filter='*Parallel*'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/differential_oracle_test \
@@ -385,5 +393,6 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_isolation_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/query_cache_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rendered_query_test
 
 echo "verify: OK"
