@@ -44,6 +44,46 @@ struct Pattern {
   std::vector<uint32_t> ids;
 };
 
+// Whether `args` can be a row of the goal `pattern`: the same arity and
+// equal (by Value `!=`, as QuerySession::AnswerFrom compares) at every bound
+// position.
+bool MatchesPattern(const Pattern& pattern, const std::vector<Value>& args) {
+  if (args.size() != pattern.values.size()) return false;
+  for (size_t i = 0; i < args.size() && i < 64; ++i) {
+    if ((pattern.mask >> i & 1) && args[i] != pattern.values[i]) return false;
+  }
+  return true;
+}
+
+// Whether some head predicate of `rules` reaches itself through the
+// relational literals of rule bodies (a rule naming its own head counts).
+// Peels predicates whose bodies call no unpeeled head predicate; exactly
+// the predicates on or above a cycle never peel.
+bool IsRecursive(const std::vector<CompiledRule>& rules,
+                 const std::map<std::string, std::vector<size_t>>& by_head) {
+  std::set<std::string> unpeeled;
+  for (const auto& entry : by_head) unpeeled.insert(entry.first);
+  bool peeled = true;
+  while (peeled) {
+    peeled = false;
+    for (auto it = unpeeled.begin(); it != unpeeled.end();) {
+      bool calls_unpeeled = false;
+      for (size_t ri : by_head.at(*it)) {
+        for (const CompiledStep& step : rules[ri].steps) {
+          calls_unpeeled |= unpeeled.count(step.literal.predicate) > 0;
+        }
+      }
+      if (calls_unpeeled) {
+        ++it;
+      } else {
+        it = unpeeled.erase(it);
+        peeled = true;
+      }
+    }
+  }
+  return !unpeeled.empty();
+}
+
 class Engine {
  public:
   Engine(const VideoDatabase& db, const EvalOptions& options)
@@ -78,6 +118,7 @@ class Engine {
   std::set<CallKey> calls_;  // expanded this pass
   std::string goal_pred_;
   Pattern goal_pattern_;
+  bool recursive_ = false;  // some IDB predicate of the cone reaches itself
   bool changed_ = false;
   size_t passes_ = 0;
   uint64_t steps_ = 0;
@@ -115,13 +156,29 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
   }
   out->adornment = obs::AdornmentString(goal_pattern_.mask, goal.args.size());
 
-  // Load the EDB slice the cone can read: the goal relation plus every
-  // relational, non-computable body literal's relation. (Head predicates
-  // may hold stored facts too — e.g. a derived relation also asserted as
-  // data — so they load as well.) Governed and observed like the bottom-up
-  // engine's interpretations: stored rows charge the budget, and derived
-  // rows feed the statistics sketches. Observation starts after the load:
-  // VideoDatabase::AssertFact already recorded every stored row.
+  // Read off the compiled cone once: whether it is recursive (only then
+  // does Run repeat its pass), and whether any body names the goal
+  // predicate. Only such a body, which makes the goal recursive, probes the
+  // goal relation under another pattern; without one its stored rows are
+  // read by nothing but AnswerFrom, which drops every row that differs from
+  // a goal constant, so only the matching rows load.
+  recursive_ = IsRecursive(rules_, rules_by_head_);
+  bool body_names_goal = false;
+  for (const CompiledRule& rule : rules_) {
+    for (const CompiledStep& step : rule.steps) {
+      body_names_goal |= step.literal.predicate == goal_pred_;
+    }
+  }
+  const bool filter_goal_rows = !body_names_goal && goal_pattern_.mask != 0;
+
+  // Load the EDB slice the cone can read: the goal relation (filtered as
+  // decided above) plus every relational, non-computable body literal's
+  // relation. (Head predicates may hold stored facts too — e.g. a derived
+  // relation also asserted as data — so they load as well.) Governed and
+  // observed like the bottom-up engine's interpretations: stored rows
+  // charge the budget, and derived rows feed the statistics sketches.
+  // Observation starts after the load: VideoDatabase::AssertFact already
+  // recorded every stored row.
   memo_.set_budget(options_.budget);
   std::set<std::string> edb_preds = {goal_pred_};
   for (const Rule& rule : cone) {
@@ -137,12 +194,21 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
     }
   }
   for (const std::string& pred : edb_preds) {
-    for (const Fact& fact : db_.FactsFor(pred)) memo_.Add(fact);
+    const bool filter = filter_goal_rows && pred == goal_pred_;
+    for (const Fact& fact : db_.FactsFor(pred)) {
+      if (filter && !MatchesPattern(goal_pattern_, fact.args)) continue;
+      memo_.Add(fact);
+    }
   }
   memo_.set_observed(true);
   return CheckInterrupt();
 }
 
+// One pass over a non-recursive cone is complete: every IDB subgoal is
+// Solved before the memo is probed for it, and without a cycle a call found
+// in calls_ finished its expansion earlier in the pass. A recursive cone
+// repeats the pass, clearing the call set and keeping the memo, until a
+// pass derives nothing new.
 Status Engine::Run(QsqrResult* out) {
   do {
     ++passes_;
@@ -155,7 +221,7 @@ Status Engine::Run(QsqrResult* out) {
     changed_ = false;
     VQLDB_RETURN_NOT_OK(CheckInterrupt());
     VQLDB_RETURN_NOT_OK(Solve(goal_pred_, goal_pattern_, 0));
-  } while (changed_);
+  } while (recursive_ && changed_);
   stats_.iterations = passes_;
   out->stats = stats_;
   out->memo = std::move(memo_);
@@ -178,8 +244,10 @@ Status Engine::Solve(const std::string& pred, const Pattern& pattern,
   for (size_t i = 0; i < pattern.ids.size() && i < 64; ++i) {
     if (pattern.mask >> i & 1) key.ids.push_back(pattern.ids[i]);
   }
-  // Already expanded this pass: its answers-so-far are in the memo; any
-  // still missing surface next pass (the expansion in flight sets changed_).
+  // Already expanded this pass: its answers-so-far are in the memo. In a
+  // non-recursive cone that expansion has finished, so they are all there;
+  // in a recursive one, any still missing surface next pass (the expansion
+  // in flight sets changed_).
   if (!calls_.insert(std::move(key)).second) return Status::OK();
   for (size_t ri : it->second) {
     VQLDB_RETURN_NOT_OK(SolveRule(rules_[ri], pattern, depth));
@@ -275,6 +343,14 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
       if (arg.is_var) {
         sub.values[i] = env->Get(arg.var);
         sub.ids[i] = env->GetId(arg.var);
+        if (sub.ids[i] == kNoTermId) {
+          // A class-literal candidate no relation holds yet. Intern it so
+          // distinct values make distinct call keys, and rebind it with its
+          // id so the probe below matches the rows this call derives.
+          TermDict& dict = TermDict::Global();
+          sub.ids[i] = dict.Intern(sub.values[i]).id;
+          env->Bind(arg.var, dict.Get(sub.ids[i]), sub.ids[i]);
+        }
       } else {
         sub.values[i] = arg.value;
         sub.ids[i] = arg.value_id;

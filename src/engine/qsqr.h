@@ -7,18 +7,27 @@
 // relations, no rewritten program, no per-round delta bookkeeping.
 //
 // The engine keeps one memo Interpretation of every answer derived so far
-// (seeded with the cone's EDB relations) and a per-pass set of expanded
-// call patterns (predicate, adornment, bound values). Solving a goal
-// expands each defining rule once per pass: the head is unified against
-// the call's bound arguments, the body is walked left-to-right with
-// backtracking, IDB subgoals recurse (then probe the memo), EDB literals
-// probe the memo directly. Because answers derived *after* a memo probe are
-// not re-joined within the pass, the outer loop repeats — clearing the
-// call set, keeping the memo — until a full pass derives nothing new.
-// Answers grow monotonically and are bounded by the finite ground-atom
-// universe, so the loop terminates; on the final (quiescent) pass every
-// probe saw the complete answer set, which gives completeness. Soundness is
-// immediate: every emission instantiates a program rule over memo facts.
+// (seeded with the stored rows the cone can read) and a per-pass set of
+// expanded call patterns (predicate, adornment, bound values). Solving a
+// goal expands each defining rule once per pass: the head is unified
+// against the call's bound arguments, the body is walked left-to-right
+// with backtracking, IDB subgoals recurse (then probe the memo), EDB
+// literals probe the memo directly. Each IDB subgoal is solved before its
+// probe, so when no IDB predicate of the cone reaches itself one pass is
+// complete: a call met twice was expanded to completion the first time. In
+// a recursive cone a probe can meet a call still being expanded, whose
+// later answers are not re-joined within the pass, so the outer loop
+// repeats — clearing the call set, keeping the memo — until a full pass
+// derives nothing new. Answers grow monotonically and are bounded by the
+// finite ground-atom universe, so the loop terminates; on the final
+// (quiescent) pass every probe saw the complete answer set, which gives
+// completeness. Soundness is immediate: every emission instantiates a
+// program rule over memo facts.
+//
+// Of the goal relation's stored rows, only those matching the goal's arity
+// and constants load, unless a rule body names the goal predicate: without
+// such a body nothing but the final answer extraction reads them. Stored
+// relations read inside rule bodies load whole.
 //
 // Equivalence: for every goal QSQR answers, the answer set equals the
 // magic-set evaluation's and the full fixpoint's restriction to the goal —
@@ -57,12 +66,15 @@ struct QsqrResult {
   /// The goal's adornment string ('b' = bound argument, 'f' = free).
   std::string adornment;
 
-  /// Everything derived (plus the cone's EDB relations): the goal's
-  /// answers are the memo's goal-predicate facts. Budget-governed when the
-  /// options carry a budget.
+  /// Everything derived, plus the stored rows the cone can read (of the
+  /// goal relation, only those matching the goal unless a rule body names
+  /// it): the goal's answers are the memo's goal-predicate facts that match
+  /// the goal. Budget-governed when the options carry a budget.
   Interpretation memo;
 
-  /// `iterations` counts outer passes; join counters count memo probes.
+  /// `iterations` counts outer passes: 1 for a non-recursive cone; a
+  /// recursive one repeats until a pass derives nothing new. Join counters
+  /// count memo probes.
   EvalStats stats;
 };
 

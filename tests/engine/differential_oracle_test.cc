@@ -304,6 +304,16 @@ Scenario RandomScenario(uint64_t seed) {
     VQLDB_CHECK(rule.ok());
     s.rules.push_back(*rule);
   }
+
+  // Stored rows of derived predicates: d0 and a2 are then both stored and
+  // derived, through a recursive cone in some seeds and not in others.
+  size_t stored = 1 + rng.UniformU64(3);
+  for (size_t i = 0; i < stored; ++i) {
+    assert_fact("d0", s.entities[rng.UniformU64(n)],
+                s.entities[rng.UniformU64(n)]);
+    ObjectId interval{s.domain[n + rng.UniformU64(m)]};
+    assert_fact("a2", s.entities[rng.UniformU64(n)], interval);
+  }
   return s;
 }
 
@@ -387,12 +397,13 @@ std::set<Row> ToRows(const QueryResult& result) {
 }
 
 // Asks every predicate under free, half-bound, bound and repeated-variable
-// goals with each forced strategy, and compares with the reference.
+// goals with each forced strategy, and compares with the reference. The
+// stored-only e and f have an empty dependency cone.
 void CheckGoals(const Scenario& s, QuerySession* session, uint64_t seed,
                 const std::set<GroundFact>& fixpoint) {
   Rng rng(seed * 7919 + 13);
   auto pick = [&] { return rng.UniformU64(s.domain.size()); };
-  for (const char* pred : {"d0", "d1", "a2", "c3"}) {
+  for (const char* pred : {"d0", "d1", "a2", "c3", "e", "f"}) {
     size_t i = pick();
     size_t j = pick();
     struct Goal {

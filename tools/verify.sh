@@ -70,6 +70,10 @@
 #    previous query), and the snapshot and query-cache tests (every session
 #    of a generation reads one database copy and one answer cache) under
 #    TSan.
+# 9. Configure + build with -DVQLDB_SANITIZE=undefined and run the QSQR,
+#    differential-oracle, strategy and magic-set property, answer-cache,
+#    rendered-answer and parser-fuzz tests under UBSan with
+#    halt_on_error=1, so any undefined-behaviour report fails the gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -394,5 +398,17 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_isolation_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/query_cache_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rendered_query_test
+
+echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
+UBSAN_TESTS=(qsqr_test differential_oracle_test strategy_property_test
+             magic_sets_property_test query_cache_test rendered_query_test
+             parser_fuzz_test)
+cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
+
+echo "== ubsan: qsqr + oracle + strategies + magic sets + caches + parser fuzz =="
+for t in "${UBSAN_TESTS[@]}"; do
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
+done
 
 echo "verify: OK"
