@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,6 +119,16 @@ class QuerySession {
   /// "?- p(a, Y)." share one entry), with no decode; a miss runs as Run()
   /// does and renders once, into the cache when the goal is cacheable.
   Result<std::string> QueryRendered(std::string_view query_text);
+  /// QueryRendered() of a parsed query; `parse_us` is what its parse took.
+  Result<std::string> QueryRendered(const struct Query& query,
+                                    uint64_t parse_us = 0);
+  /// QueryRendered() answered from the cache alone: the same body on a hit,
+  /// counted and recorded as QueryRendered() counts and records one; nullopt
+  /// when the answer is not cached or the goal is not cacheable, in which
+  /// case nothing was evaluated, counted or recorded. For callers that must
+  /// not evaluate (the server's IO thread).
+  std::optional<std::string> CachedRendered(const struct Query& query,
+                                            uint64_t parse_us = 0);
   /// Run() whose answer comes back rendered, with its MergeOrder() built:
   /// what the archive scatter merges. A hit returns the cache entry's
   /// rendering and builds its merge order at most once, charged to the
@@ -286,6 +297,7 @@ class QuerySession {
     kNone,        // decoded rows only (Run)
     kRows,        // the rendering too; a hit decodes nothing
     kMergeOrder,  // the rendering with its merge order built
+    kCachedRows,  // kRows from the cache alone: a miss returns no rendering
   };
   /// One execution's answer: the columns always, decoded rows unless a
   /// rendered call hit the cache, and the rendering when asked for.
@@ -301,13 +313,26 @@ class QuerySession {
   Result<Outcome> Execute(const struct Query& query, uint64_t parse_us,
                           Render render);
   Result<Outcome> RunImpl(const struct Query& query, Render render);
+  /// The QueryRendered() body of a rendered outcome: the header with this
+  /// query's columns, then the rendering.
+  static std::string RenderedBody(const Outcome& out);
 
-  /// Decides whether `goal` touches the sys_* namespace (directly or via a
-  /// rule in its dependency cone) and, if so, materializes one consistent
-  /// batch of system facts into sys_seed_facts_. Such queries bypass both
-  /// the query cache and the fixpoint cache — system state changes without
-  /// bumping the database epoch — and every evaluation strategy seeds the
-  /// same batch, keeping answers byte-identical across strategies.
+  /// True iff evaluating `goal` can observe a system relation: the goal
+  /// predicate itself is sys_*, or some rule in the goal's dependency cone
+  /// reads one in its body. Such queries are answered from a fresh
+  /// system-fact batch and bypass the query and fixpoint caches (system
+  /// state changes without bumping the database epoch).
+  bool TouchesSystemRelations(const Atom& goal) const;
+  /// Whether `rule`'s body reads a sys_* relation or a head in sys_heads_.
+  bool ReadsSystemRelations(const Rule& rule) const;
+  /// Grows sys_heads_ to every rule head whose dependency cone reads a sys_*
+  /// relation; called when added rules may have changed that set.
+  void UpdateSystemHeads();
+
+  /// Decides whether `goal` touches the sys_* namespace and, if so,
+  /// materializes one consistent batch of system facts into
+  /// sys_seed_facts_. Every evaluation strategy seeds the same batch,
+  /// keeping answers byte-identical across strategies.
   void PrepareSystemFacts(const Atom& goal);
   std::vector<Fact> BuildSystemSeedFacts() const;
 
@@ -347,6 +372,9 @@ class QuerySession {
   bool magic_enabled_ = true;
   bool cache_enabled_ = true;
   uint64_t rules_epoch_ = 0;  // bumped whenever rules_ changes
+  /// Rule heads whose dependency cone reads a sys_* relation. Rules are
+  /// only ever added, so the set only grows (UpdateSystemHeads).
+  std::set<std::string> sys_heads_;
 
   std::shared_ptr<QueryCache> cache_;
 

@@ -203,13 +203,13 @@ bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
 }
 
 std::shared_ptr<const RenderedAnswer> QueryCache::LookupRendered(
-    const Key& key, bool merge_order) {
+    const Key& key, bool merge_order, bool count_miss) {
   std::shared_ptr<const Answer> answer;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
-      CacheMisses()->Increment();
+      if (count_miss) CacheMisses()->Increment();
       return nullptr;
     }
     CacheHits()->Increment();

@@ -146,9 +146,11 @@ class QueryCache {
   bool Lookup(const Key& key, std::vector<std::vector<Value>>* rows);
   /// Lookup() that returns the stored rendering instead of decoding, or
   /// null on a miss. With `merge_order`, the answer's merge order is built
-  /// if it was not yet, and its bytes are charged to the entry.
+  /// if it was not yet, and its bytes are charged to the entry. Without
+  /// `count_miss`, a miss is left for the caller's next lookup to count.
   std::shared_ptr<const RenderedAnswer> LookupRendered(const Key& key,
-                                                       bool merge_order);
+                                                       bool merge_order,
+                                                       bool count_miss = true);
   /// Whether `key` has an entry; touches neither the LRU order nor the
   /// hit/miss counters (EXPLAIN).
   bool Contains(const Key& key) const;

@@ -4,29 +4,11 @@
 #include <map>
 
 #include "src/engine/interpretation.h"
-#include "src/engine/magic.h"
 
 namespace vqldb {
 
 bool IsSystemRelation(const std::string& name) {
   return name.compare(0, 4, "sys_") == 0;
-}
-
-namespace {
-bool BodyTouchesSystem(const Rule& rule) {
-  for (const Atom& atom : rule.body) {
-    if (IsSystemRelation(atom.predicate)) return true;
-  }
-  return false;
-}
-}  // namespace
-
-bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& rules) {
-  if (IsSystemRelation(goal.predicate)) return true;
-  for (const Rule& rule : DependencyCone(goal.predicate, rules)) {
-    if (BodyTouchesSystem(rule)) return true;
-  }
-  return false;
 }
 
 std::string QueryFingerprint(const Atom& goal) {

@@ -51,13 +51,6 @@ namespace vqldb {
 /// True iff `name` is in the reserved system-relation namespace ("sys_").
 bool IsSystemRelation(const std::string& name);
 
-/// True iff evaluating `goal` can observe a system relation: the goal
-/// predicate itself is sys_*, or some rule in the goal's dependency cone
-/// references one in its body. Such queries are answered from a fresh
-/// system-fact batch and bypass the query / fixpoint caches (system state
-/// changes without bumping the database epoch).
-bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& rules);
-
 /// Normalized query fingerprint: constants collapse to `?`, variables are
 /// renumbered `$0, $1, ...` in order of first occurrence (so α-equivalent
 /// goals collapse to one fingerprint while repeated-variable patterns stay

@@ -14,10 +14,13 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/string_util.h"
+#include "src/lang/parser.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
 #include "src/server/http.h"
@@ -36,6 +39,17 @@ uint64_t SteadyMs() {
 
 Status ErrnoStatus(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
+}
+
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+bool IsExplain(std::string_view text) {
+  return StartsWith(Trim(text), "explain");
 }
 
 }  // namespace
@@ -60,8 +74,9 @@ struct Server::Conn {
 
   bool in_flight = false;         // one outstanding request per connection
   bool close_after_write = false;
-  bool want_read = true;          // epoll interest actually registered
+  bool want_read = true;          // epoll interest wanted
   bool want_write = false;
+  uint32_t epoll_mask = EPOLLIN;  // epoll interest actually registered
 
   uint64_t last_done_ms = 0;            // last *completed* request (or accept)
   uint64_t last_write_progress_ms = 0;  // 0 = no pending write
@@ -78,6 +93,11 @@ struct Server::RequestCtx {
   bool admitted = false;
   uint64_t effective_deadline_ms = 0;  // 0 = none
   std::shared_ptr<CancelToken> cancel;
+  // A single-db read (not EXPLAIN) arrives parsed by the IO thread: its
+  // goal, or why the text did not parse, and the parse time.
+  Query query;
+  Status parse_status;
+  uint64_t parse_us = 0;
 };
 
 struct Server::IoLoop {
@@ -128,6 +148,7 @@ struct Server::Metrics {
   obs::Counter* bytes_written;
   obs::Counter* injected_faults;
   obs::Counter* snapshots_built;
+  obs::Counter* inline_hits;
   obs::Histogram* request_ms;
 };
 
@@ -192,6 +213,9 @@ void Server::RegisterMetrics() {
       "vqldb_server_injected_faults_total", "transport faults injected");
   metrics_->snapshots_built = reg.GetCounter("vqldb_server_snapshots_built_total",
                                              "db snapshots materialized");
+  metrics_->inline_hits =
+      reg.GetCounter("vqldb_server_inline_hits_total",
+                     "cached reads answered on the IO thread");
   metrics_->request_ms =
       reg.GetHistogram("vqldb_server_request_ms", "request latency (ms)",
                        obs::DefaultLatencyBucketsMs());
@@ -303,9 +327,10 @@ void Server::IoThreadMain(IoLoop* loop) {
         continue;
       }
       if (fd == loop->event_fd) {
+        // One read resets a (non-semaphore) eventfd's counter to zero.
         uint64_t drainv;
-        while (::read(loop->event_fd, &drainv, sizeof(drainv)) > 0) {
-        }
+        [[maybe_unused]] ssize_t got =
+            ::read(loop->event_fd, &drainv, sizeof(drainv));
         continue;  // completions drained below
       }
       auto it = loop->conns.find(fd);
@@ -391,11 +416,17 @@ void Server::HandleAccept(IoLoop* loop) {
 }
 
 bool Server::UpdateEpoll(IoLoop* loop, Conn* conn) {
+  const uint32_t mask = (conn->want_read ? EPOLLIN : 0u) |
+                        (conn->want_write ? EPOLLOUT : 0u);
+  if (mask == conn->epoll_mask) return true;  // no syscall for no change
   epoll_event ev{};
-  ev.events = (conn->want_read ? EPOLLIN : 0u) |
-              (conn->want_write ? EPOLLOUT : 0u);
+  ev.events = mask;
   ev.data.fd = conn->fd;
-  return ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) == 0;
+  if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) != 0) {
+    return false;
+  }
+  conn->epoll_mask = mask;
+  return true;
 }
 
 bool Server::ChargeConnBuffers(Conn* conn) {
@@ -565,12 +596,34 @@ void Server::HandleRequest(IoLoop* loop, Conn* conn, Request request,
     }
   }
 
+  // A single-db query other than EXPLAIN is parsed here, once. A binary one
+  // whose answer is cached for the current generation is answered from this
+  // thread; every other one reaches its worker parsed.
+  Query query;
+  Status parse_status;
+  uint64_t parse_us = 0;
+  if (request.type == MsgType::kQuery && archive_ == nullptr &&
+      !IsExplain(request.text)) {
+    const auto parse_start = std::chrono::steady_clock::now();
+    Result<Query> parsed = Parser::ParseQuery(request.text);
+    parse_us = ElapsedUs(parse_start);
+    if (parsed.ok()) {
+      query = std::move(*parsed);
+      if (!http && AnswerFromCache(loop, conn, query, parse_us)) return;
+    } else {
+      parse_status = parsed.status();
+    }
+  }
+
   auto ctx = std::make_shared<RequestCtx>();
   ctx->loop = loop;
   ctx->conn_id = conn->id;
   ctx->request = std::move(request);
   ctx->http = http;
   ctx->cancel = std::make_shared<CancelToken>();
+  ctx->query = std::move(query);
+  ctx->parse_status = std::move(parse_status);
+  ctx->parse_us = parse_us;
 
   // Deadline policy: explicit budgets are clamped by max_deadline_ms,
   // missing budgets default to default_deadline_ms.
@@ -591,6 +644,40 @@ void Server::HandleRequest(IoLoop* loop, Conn* conn, Request request,
   UpdateEpoll(loop, conn);
 
   pool_->Submit([this, ctx] { ExecuteRequest(ctx); });
+}
+
+bool Server::AnswerFromCache(IoLoop* loop, Conn* conn, const Query& query,
+                             uint64_t parse_us) {
+  // Nothing here builds or waits: a generation being built or written, a
+  // pool without a free built session, or a miss leaves the read to a
+  // worker, which builds as needed. A hit evaluates nothing, so it takes no
+  // gate slot.
+  const auto started = std::chrono::steady_clock::now();
+  std::shared_ptr<DbSnapshot> generation = snapshots_->CurrentIfBuilt();
+  if (generation == nullptr) return false;
+  std::optional<std::string> body;
+  {
+    SessionLease lease = generation->TryAcquire();
+    if (!lease.valid()) return false;
+    body = lease.session()->CachedRendered(query, parse_us);
+  }  // the lease goes back before the response is written
+  if (!body.has_value()) return false;
+
+  admitted_.fetch_add(1, std::memory_order_relaxed);
+  metrics_->admitted->Increment();
+  inline_hits_.fetch_add(1, std::memory_order_relaxed);
+  metrics_->inline_hits->Increment();
+  metrics_->request_ms->Observe(
+      static_cast<double>(parse_us + ElapsedUs(started)) / 1000.0);
+  admitted_responded_.fetch_add(1, std::memory_order_relaxed);
+  metrics_->admitted_responded->Increment();
+  WriteResponse(loop, conn,
+                EncodeResponse(Response{StatusCode::kOk, 0, std::move(*body)}),
+                /*close_after=*/false);
+  // The same ledger order as PostCompletion: outstanding_ falls only once
+  // the response is queued.
+  outstanding_.fetch_sub(1, std::memory_order_release);
+  return true;
 }
 
 void Server::ExecuteRequest(std::shared_ptr<RequestCtx> ctx) {
@@ -630,10 +717,9 @@ void Server::ExecuteRequest(std::shared_ptr<RequestCtx> ctx) {
     }
   }
 
-  const auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - started);
-  metrics_->request_ms->Observe(static_cast<double>(elapsed_us.count()) /
-                                1000.0);
+  // The IO thread's parse counts too, as it did when the worker parsed.
+  metrics_->request_ms->Observe(
+      static_cast<double>(ctx->parse_us + ElapsedUs(started)) / 1000.0);
   PostCompletion(std::move(ctx), std::move(response));
 }
 
@@ -643,7 +729,7 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(ctx->effective_deadline_ms);
   }
-  bool want_explain = StartsWith(Trim(ctx->request.text), "explain");
+  bool want_explain = IsExplain(ctx->request.text);
 
   if (archive_ != nullptr) {
     // ShardedArchive::Query is not thread-safe (it records per-scatter
@@ -678,6 +764,10 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     return Response{StatusCode::kOk, flags, result->ToString()};
   }
 
+  if (!ctx->parse_status.ok()) {
+    return Response{ctx->parse_status.code(), 0,
+                    std::string(ctx->parse_status.message())};
+  }
   auto lease = snapshots_->AcquireSession();
   if (!lease.ok()) {
     return Response{lease.status().code(), 0,
@@ -706,8 +796,8 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
                                    std::string(out.status().message())};
   } else {
     // The body is rendered once per cache entry: a hit is the header plus
-    // one copy of the entry's rendering.
-    auto body = session->QueryRendered(ctx->request.text);
+    // one copy of the entry's rendering. The IO thread parsed the query.
+    auto body = session->QueryRendered(ctx->query, ctx->parse_us);
     if (body.ok()) {
       uint8_t flags = session->last_exec_info().partial ? kFlagPartial : 0;
       response = Response{StatusCode::kOk, flags, std::move(*body)};
@@ -857,37 +947,11 @@ void Server::DrainCompletions(IoLoop* loop) {
       dead_conn_responses_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    Conn* conn = loop->conns.at(it->second).get();
-    conn->in_flight = false;
-    conn->inflight_cancel.reset();
-    conn->last_done_ms = NowMs();
-
-    // Seeded transport faults are applied at the moment the response frame
-    // would hit the socket — the worst possible time for the client.
-    if (options_.faults.enabled()) {
-      if (loop->rng.Bernoulli(options_.faults.disconnect_p)) {
-        injected_disconnects_.fetch_add(1, std::memory_order_relaxed);
-        metrics_->injected_faults->Increment();
-        CloseConn(loop, conn, "injected disconnect");
-        continue;
-      }
-      if (loop->rng.Bernoulli(options_.faults.torn_response_p) &&
-          done.bytes.size() > 1) {
-        injected_torn_.fetch_add(1, std::memory_order_relaxed);
-        metrics_->injected_faults->Increment();
-        size_t keep = 1 + static_cast<size_t>(
-                              loop->rng.UniformU64(done.bytes.size() - 1));
-        done.bytes.resize(keep);
-        done.close_after = true;  // torn frame, then the line goes dead
-      }
-    }
-
-    if (!done.close_after) {
-      conn->want_read = true;  // resume the request pipeline
-    }
-    QueueWrite(loop, conn, std::move(done.bytes), done.close_after);
-    // QueueWrite may have closed the connection (write error); if it is
-    // still live and idle, parse any requests the client pipelined.
+    WriteResponse(loop, loop->conns.at(it->second).get(),
+                  std::move(done.bytes), done.close_after);
+    // WriteResponse may have closed the connection (an injected fault or a
+    // write error); if it is still live and idle, parse any requests the
+    // client pipelined.
     auto again = loop->id_to_fd.find(done.conn_id);
     if (again != loop->id_to_fd.end()) {
       Conn* live = loop->conns.at(again->second).get();
@@ -899,6 +963,36 @@ void Server::DrainCompletions(IoLoop* loop) {
 }
 
 // ----------------------------------------------------------------- writing
+
+void Server::WriteResponse(IoLoop* loop, Conn* conn, std::string bytes,
+                           bool close_after) {
+  conn->in_flight = false;
+  conn->inflight_cancel.reset();
+  conn->last_done_ms = NowMs();
+
+  // Seeded transport faults are applied at the moment the response frame
+  // would hit the socket — the worst possible time for the client.
+  if (options_.faults.enabled()) {
+    if (loop->rng.Bernoulli(options_.faults.disconnect_p)) {
+      injected_disconnects_.fetch_add(1, std::memory_order_relaxed);
+      metrics_->injected_faults->Increment();
+      CloseConn(loop, conn, "injected disconnect");
+      return;
+    }
+    if (loop->rng.Bernoulli(options_.faults.torn_response_p) &&
+        bytes.size() > 1) {
+      injected_torn_.fetch_add(1, std::memory_order_relaxed);
+      metrics_->injected_faults->Increment();
+      size_t keep =
+          1 + static_cast<size_t>(loop->rng.UniformU64(bytes.size() - 1));
+      bytes.resize(keep);
+      close_after = true;  // torn frame, then the line goes dead
+    }
+  }
+
+  if (!close_after) conn->want_read = true;  // resume the request pipeline
+  QueueWrite(loop, conn, std::move(bytes), close_after);
+}
 
 void Server::RespondInline(IoLoop* loop, Conn* conn, const Response& response,
                            bool http, bool close_after) {
@@ -968,9 +1062,8 @@ void Server::HandleWritable(IoLoop* loop, Conn* conn) {
     CloseConn(loop, conn, "response complete");
     return;
   }
-  bool want_write = conn->want_write;
   conn->want_write = false;
-  if (want_write || conn->want_read) UpdateEpoll(loop, conn);
+  UpdateEpoll(loop, conn);  // no syscall unless the interest changed
 }
 
 void Server::CloseConn(IoLoop* loop, Conn* conn, const char* /*why*/) {
@@ -1285,6 +1378,7 @@ ServerStats Server::stats() const {
   s.injected_disconnects = injected_disconnects_.load(std::memory_order_relaxed);
   s.injected_accept_rejects =
       injected_accept_rejects_.load(std::memory_order_relaxed);
+  s.inline_hits = inline_hits_.load(std::memory_order_relaxed);
   return s;
 }
 

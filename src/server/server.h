@@ -8,7 +8,16 @@
 //     listener (thread-per-core accept) and owns its connections outright —
 //     no connection is ever touched by two IO threads, so connection state
 //     needs no locks. Cross-thread traffic is only the completion queue
-//     (worker -> IO thread, guarded + eventfd wakeup) and atomics.
+//     (worker -> IO thread, guarded + eventfd wakeup), atomics, and the
+//     snapshot layer's session pool and answer cache (below).
+//   * Cached reads complete on the IO thread: a single-db binary query is
+//     parsed where it was decoded, and when its answer is cached for the
+//     current generation, a free already-built session hands it over and
+//     the IO thread writes the response itself (AnswerFromCache). It never
+//     builds a generation or a session and never waits for one; anything
+//     else goes to the workers with the parsed query. A hit evaluates
+//     nothing, so it takes no QueryGate slot. EXPLAIN, sys_* goals, HTTP
+//     /query and archive mode always go to the workers.
 //   * Worker pool: requests that need the engine (queries, statements,
 //     admin) are executed on a ThreadPool after passing admission:
 //     first a cheap server-level intake bound (outstanding requests <=
@@ -19,8 +28,10 @@
 //     by default_deadline_ms, and becomes EvalOptions::deadline on the
 //     leased snapshot session — the engine's ExecContext polls it.
 //   * Exactly-one-response: every decoded request either (a) is answered
-//     inline on the IO thread (ping, healthz, shed), or (b) increments
-//     `outstanding_`, runs on a worker, and posts exactly one completion.
+//     inline on the IO thread (ping, healthz, shed), (b) is a cached read
+//     answered on the IO thread, counted admitted and responded there, or
+//     (c) increments `outstanding_`, runs on a worker, and posts exactly
+//     one completion.
 //     A connection that dies first trips the request's CancelToken; the
 //     completion then finds the connection gone and is dropped *after* the
 //     response was produced — the admitted/responded ledger still balances.
@@ -83,8 +94,14 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = pick an ephemeral port; Server::port() reports it
 
-  size_t io_threads = 1;      // accept/epoll loops (thread-per-core)
-  size_t worker_threads = 2;  // engine execution pool
+  /// Accept/epoll loops (thread-per-core). Besides the transport, each
+  /// answers the cached reads of its connections, so it does most of the
+  /// work of a cache-heavy load: add IO threads when one is saturated.
+  size_t io_threads = 1;
+  /// Engine execution pool: cache misses, writes, EXPLAIN, sys_* goals,
+  /// HTTP /query, archive mode, and cached reads the IO thread could not
+  /// serve (a stale generation, a busy writer, no free built session).
+  size_t worker_threads = 2;
 
   /// Admission front door. Slots + queue also bound the server-level
   /// outstanding-request intake (checked on IO threads before submit).
@@ -150,6 +167,7 @@ struct ServerStats {
   uint64_t injected_torn = 0;
   uint64_t injected_disconnects = 0;
   uint64_t injected_accept_rejects = 0;
+  uint64_t inline_hits = 0;        // cached reads answered on the IO thread
 };
 
 class Server {
@@ -212,6 +230,16 @@ class Server {
   bool ParseBinary(IoLoop* loop, Conn* conn);  // false = conn destroyed
   bool ParseHttp(IoLoop* loop, Conn* conn);
   void HandleRequest(IoLoop* loop, Conn* conn, Request request, bool http);
+  /// Writes the answer to a parsed single-db read from this IO thread when
+  /// it is cached for the current generation; false (having done nothing)
+  /// when the read must go to a worker.
+  bool AnswerFromCache(IoLoop* loop, Conn* conn, const Query& query,
+                       uint64_t parse_us);
+  /// Hands a request's response to its live connection: seeded transport
+  /// faults first, then QueueWrite. Completions and inline hits both write
+  /// through here. May close (destroy) *conn.
+  void WriteResponse(IoLoop* loop, Conn* conn, std::string bytes,
+                     bool close_after);
   void RespondInline(IoLoop* loop, Conn* conn, const Response& response,
                      bool http, bool close_after);
   void QueueWrite(IoLoop* loop, Conn* conn, std::string bytes,
@@ -270,7 +298,7 @@ class Server {
       admitted_responded_{0}, admitted_dropped_{0}, dead_conn_responses_{0},
       unflushed_{0}, idle_closed_{0}, slow_closed_{0}, protocol_errors_{0},
       bytes_read_{0}, bytes_written_{0}, injected_torn_{0},
-      injected_disconnects_{0}, injected_accept_rejects_{0};
+      injected_disconnects_{0}, injected_accept_rejects_{0}, inline_hits_{0};
 
   // Cached metric pointers (registered once in RegisterMetrics).
   struct Metrics;

@@ -82,9 +82,7 @@ Result<SessionLease> DbSnapshot::Acquire() {
     if (!free_.empty()) {
       size_t slot = free_.back();
       free_.pop_back();
-      Slot* s = slots_[slot].get();
-      return SessionLease(shared_from_this(), slot, s->session.get(),
-                          s->session->database());
+      return LeaseLocked(slot);
     }
     if (slots_.size() + building_ < max_sessions_) {
       // Build the session outside the lock (a private copy, when the
@@ -112,16 +110,26 @@ Result<SessionLease> DbSnapshot::Acquire() {
         free_cv_.notify_one();  // the capacity this build held is free again
         return build_status;
       }
-      size_t slot = slots_.size();
       slots_.push_back(std::move(built));
-      Slot* s = slots_[slot].get();
-      return SessionLease(shared_from_this(), slot, s->session.get(),
-                          s->session->database());
+      return LeaseLocked(slots_.size() - 1);
     }
     free_cv_.wait(lock, [&] {
       return !free_.empty() || slots_.size() + building_ < max_sessions_;
     });
   }
+}
+
+SessionLease DbSnapshot::TryAcquire() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_.empty()) return SessionLease();
+  size_t slot = free_.back();
+  free_.pop_back();
+  return LeaseLocked(slot);
+}
+
+SessionLease DbSnapshot::LeaseLocked(size_t slot) {
+  QuerySession* session = slots_[slot]->session.get();
+  return SessionLease(shared_from_this(), slot, session, session->database());
 }
 
 size_t DbSnapshot::sessions_built() const {
@@ -179,6 +187,16 @@ Result<SessionLease> SnapshotManager::AcquireSession() {
   auto snapshot = Current();
   if (!snapshot.ok()) return snapshot.status();
   return (*snapshot)->Acquire();
+}
+
+std::shared_ptr<DbSnapshot> SnapshotManager::CurrentIfBuilt() {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  if (!lock.owns_lock() || current_ == nullptr ||
+      current_->db_epoch() != db_->epoch() ||
+      current_->rules_epoch() != write_session_.rules().size()) {
+    return nullptr;
+  }
+  return current_;
 }
 
 uint64_t SnapshotManager::rules_epoch() const {

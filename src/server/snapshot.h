@@ -28,7 +28,9 @@
 // on a leased session.
 //
 // Concurrency: SnapshotManager is fully thread-safe. Apply() serializes
-// writers; Acquire() is called from any worker thread. Sessions are leased
+// writers; Acquire() is called from any worker thread, while the server's
+// IO threads use CurrentIfBuilt() and TryAcquire(), which neither build nor
+// wait and give nothing when they would have to. Sessions are leased
 // (RAII SessionLease) from a per-snapshot pool bounded by
 // `sessions_per_snapshot` — size it >= the admission gate's slot count and a
 // lease is always available without waiting; when undersized, Acquire blocks
@@ -112,6 +114,9 @@ class DbSnapshot : public std::enable_shared_from_this<DbSnapshot> {
   /// for a returned lease otherwise. Fails only if the rules fail to
   /// install, which the write path has already ruled out.
   Result<SessionLease> Acquire();
+  /// Leases a free session that is already built; never builds and never
+  /// waits for one. An invalid lease when none is free.
+  SessionLease TryAcquire();
 
   /// Sessions materialized so far (tests).
   size_t sessions_built() const;
@@ -123,6 +128,8 @@ class DbSnapshot : public std::enable_shared_from_this<DbSnapshot> {
     std::unique_ptr<QuerySession> session;
   };
 
+  /// A lease on the built session in `slot`; mu_ held.
+  SessionLease LeaseLocked(size_t slot);
   void ReturnSlot(size_t slot);
 
   const uint64_t db_epoch_;
@@ -165,6 +172,11 @@ class SnapshotManager {
 
   /// Convenience: Current() + Acquire().
   Result<SessionLease> AcquireSession();
+
+  /// The current snapshot if it is built and up to date, else null. Never
+  /// builds and never waits: a writer or a build holding the lock also
+  /// gives null. For callers that must not block (the server's IO thread).
+  std::shared_ptr<DbSnapshot> CurrentIfBuilt();
 
   uint64_t live_epoch() const { return db_->epoch(); }
   uint64_t rules_epoch() const;

@@ -2,17 +2,47 @@
 // twice: the first ask misses and renders its answer into the cache, the
 // second is served from that rendering without decoding. Both bodies must
 // equal what QueryResult::ToString prints for an evaluation that never
-// touched the cache, and the decoded Run() path must still agree.
+// touched the cache, and the decoded Run() path must still agree. The
+// cache-only CachedRendered must do nothing at all on a miss, and on a hit
+// return, count and record exactly what QueryRendered does.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/engine/query.h"
+#include "src/lang/parser.h"
+#include "src/obs/metrics.h"
+#include "src/obs/stats.h"
 
 namespace vqldb {
 namespace {
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name, "")->value();
+}
+
+// How many queries the statistics collector recorded under `fingerprint`.
+uint64_t RecordedCount(const std::string& fingerprint) {
+  for (const obs::QueryStatView& view :
+       obs::StatsCollector::Global().Snapshot().queries) {
+    if (view.fingerprint == fingerprint) return view.count;
+  }
+  return 0;
+}
+
+struct Counts {
+  uint64_t hits = CounterValue("vqldb_query_cache_hits_total");
+  uint64_t misses = CounterValue("vqldb_query_cache_misses_total");
+};
+
+Query Parsed(const std::string& text) {
+  auto query = Parser::ParseQuery(text);
+  EXPECT_TRUE(query.ok()) << query.status();
+  return query.ok() ? *query : Query{};
+}
 
 // Covers oids with and without symbols (the ++ rule derives unnamed
 // intervals), strings holding ", " and quotes, temporal and set values,
@@ -156,6 +186,62 @@ TEST_F(RenderedQueryTest, UncachedAnswersRenderTheSame) {
   EXPECT_EQ(*over, want);
   EXPECT_EQ(session_->query_cache_size(), 0u);
   EXPECT_EQ(session_->query_cache_bytes(), 0u);
+}
+
+TEST_F(RenderedQueryTest, CacheOnlyMissDoesNothing) {
+  const Query goal = Parsed("?- score(X, N).");
+  const Counts before;
+  const uint64_t recorded = RecordedCount("score($0, $1)");
+  EXPECT_FALSE(session_->CachedRendered(goal, 3).has_value());
+  const Counts after;
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(RecordedCount("score($0, $1)"), recorded);
+  EXPECT_EQ(session_->query_cache_size(), 0u);
+  // The full call after it counts the one miss and records the one query.
+  ASSERT_TRUE(session_->QueryRendered(goal, 3).ok());
+  EXPECT_EQ(Counts().misses, before.misses + 1);
+  EXPECT_EQ(RecordedCount("score($0, $1)"), recorded + 1);
+
+  // Goals the cache never holds come back empty too.
+  EXPECT_FALSE(
+      session_->CachedRendered(Parsed("?- sys_queries(F, C, P, Q, R, S)."))
+          .has_value());
+  session_->set_cache_enabled(false);
+  EXPECT_FALSE(session_->CachedRendered(goal).has_value());
+}
+
+TEST_F(RenderedQueryTest, CacheOnlyHitEqualsQueryRendered) {
+  const std::vector<std::string> goals = {
+      "?- same(X, Y).", "?- combo(G).",      "?- label(X, L).",
+      "?- span(X, T).", "?- score(X, 2.5).", "?- score(a, 3).",
+      "?- same(X, X)."};
+  for (const std::string& text : goals) {
+    SCOPED_TRACE(text);
+    const Query goal = Parsed(text);
+    auto stored = session_->QueryRendered(goal);
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    const Counts before;
+    const uint64_t recorded = RecordedCount(QueryFingerprint(goal.goal));
+    auto cached = session_->CachedRendered(goal);
+    ASSERT_TRUE(cached.has_value());
+    EXPECT_TRUE(session_->last_exec_info().cache_hit);
+    const Counts after;
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(RecordedCount(QueryFingerprint(goal.goal)), recorded + 1);
+    auto hit = session_->QueryRendered(goal);
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(*cached, *hit);
+    EXPECT_EQ(*cached, *stored);
+  }
+  // A renamed goal shares the entry and keeps its own header.
+  auto renamed = session_->CachedRendered(Parsed("?- score(Who, Points)."));
+  EXPECT_FALSE(renamed.has_value());  // score(X, N) was never stored
+  ASSERT_TRUE(session_->QueryRendered("?- score(X, N).").ok());
+  renamed = session_->CachedRendered(Parsed("?- score(Who, Points)."));
+  ASSERT_TRUE(renamed.has_value());
+  EXPECT_EQ(*renamed, *session_->QueryRendered("?- score(Who, Points)."));
 }
 
 TEST_F(RenderedQueryTest, ErrorsMatchQuery) {

@@ -3,8 +3,9 @@
 // differences; sys_relations rows match the database's ground truth;
 // sys_columns distinct estimates stay within the HLL contract; a rule
 // joining a sys_* relation with a base relation answers byte-identically
-// across evaluation strategies; and the sys_ namespace is reserved at every
-// ingestion point.
+// across evaluation strategies; a goal whose rules reach a sys_* relation,
+// however indirectly and whenever the reaching rule was added, bypasses the
+// query cache; and the sys_ namespace is reserved at every ingestion point.
 
 #include "src/engine/sysrel.h"
 
@@ -195,6 +196,41 @@ TEST_F(SysRelSessionTest, SysGoalsBypassTheQueryCache) {
   EXPECT_FALSE(session_->last_exec_info().cache_hit);
   // The second run sees one more recorded query than the first (itself).
   EXPECT_GE(second->rows.size(), first->rows.size());
+}
+
+TEST_F(SysRelSessionTest, RuleChainsReachingSysRelationsStayUncached) {
+  // busy reads sys_queries only through seen, two rule levels down.
+  ASSERT_TRUE(session_
+                  ->Load("seen(F) <- sys_queries(F, C, P50, P99, R, S).\n"
+                         "busy(F) <- seen(F).\n")
+                  .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto result = session_->Query("?- busy(F).");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(session_->last_exec_info().cache_hit);
+  }
+  EXPECT_EQ(session_->query_cache_size(), 0u);
+}
+
+TEST_F(SysRelSessionTest, ALaterRuleMakesACachedPredicateUncacheable) {
+  ASSERT_TRUE(session_->AddRule("watch(X) <- edge(X, Y).").ok());
+  ASSERT_TRUE(session_->Query("?- watch(X).").ok());
+  ASSERT_TRUE(session_->Query("?- watch(X).").ok());
+  EXPECT_TRUE(session_->last_exec_info().cache_hit);
+  // A second watch rule reads a head that has no rules yet; the rule added
+  // after it makes that head, and so watch, reach sys_queries.
+  ASSERT_TRUE(session_->AddRule("watch(F) <- recent(F).").ok());
+  ASSERT_TRUE(session_->Query("?- watch(X).").ok());
+  ASSERT_TRUE(session_->Query("?- watch(X).").ok());
+  EXPECT_TRUE(session_->last_exec_info().cache_hit);
+  ASSERT_TRUE(
+      session_->AddRule("recent(F) <- sys_queries(F, C, P50, P99, R, S).")
+          .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto result = session_->Query("?- watch(X).");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(session_->last_exec_info().cache_hit);
+  }
 }
 
 TEST_F(SysRelSessionTest, SysNamespaceIsReservedEverywhere) {

@@ -1,6 +1,6 @@
 // End-to-end tests of the service layer over real loopback sockets: both
-// protocols, admission, deadline propagation, drain, fault tolerance and
-// the exactly-one-response ledger.
+// protocols, admission, deadline propagation, drain, fault tolerance, the
+// exactly-one-response ledger, and cached reads answered on the IO thread.
 
 #include "src/server/server.h"
 
@@ -17,7 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/engine/query.h"
 #include "src/obs/json_lite.h"
+#include "src/obs/metrics.h"
+#include "src/obs/stats.h"
 #include "src/server/client.h"
 #include "src/storage/shard_store.h"
 
@@ -46,6 +49,19 @@ double SampleIn(const std::string& scrape, const std::string& name) {
   size_t at = scrape.find(prefix);
   if (at == std::string::npos) return -1;
   return std::stod(scrape.substr(at + prefix.size()));
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name, "")->value();
+}
+
+// How many queries the statistics collector recorded under `fingerprint`.
+uint64_t RecordedCount(const std::string& fingerprint) {
+  for (const obs::QueryStatView& view :
+       obs::StatsCollector::Global().Snapshot().queries) {
+    if (view.fingerprint == fingerprint) return view.count;
+  }
+  return 0;
 }
 
 class ServerTest : public ::testing::Test {
@@ -432,6 +448,190 @@ TEST_F(ServerTest, ArchiveModeServesTenantsAndSurvivesShardKill) {
   EXPECT_EQ(server.stats().admitted_dropped, 0u);
   std::error_code ec;
   std::filesystem::remove_all(root, ec);
+}
+
+TEST_F(ServerTest, CacheHitsCompleteOnTheIoThread) {
+  auto server = StartServer({});
+  Client client = MakeClient(*server);
+  const uint64_t hits = CounterValue("vqldb_query_cache_hits_total");
+  const uint64_t misses = CounterValue("vqldb_query_cache_misses_total");
+  const uint64_t recorded = RecordedCount("p($0, $1)");
+
+  auto first = client.Query("?- p(X, Y).");    // a miss: a worker answers
+  auto second = client.Query("?- p(X, Y).");   // a hit, on the IO thread
+  auto renamed = client.Query("?- p(A, B).");  // the same entry, own header
+  ASSERT_TRUE(first.ok() && second.ok() && renamed.ok());
+  ASSERT_TRUE((*first).ok()) << first->body;
+  ASSERT_TRUE((*second).ok()) << second->body;
+  ASSERT_TRUE((*renamed).ok()) << renamed->body;
+  EXPECT_EQ(second->body, first->body);
+  EXPECT_EQ(renamed->body.rfind("(2 answers) [A, B]\n", 0), 0u)
+      << renamed->body;
+  EXPECT_EQ(renamed->body.substr(renamed->body.find('\n')),
+            first->body.substr(first->body.find('\n')));
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.inline_hits, 2u);
+  EXPECT_EQ(CounterValue("vqldb_query_cache_hits_total"), hits + 2);
+  EXPECT_EQ(CounterValue("vqldb_query_cache_misses_total"), misses + 1);
+  EXPECT_EQ(RecordedCount("p($0, $1)"), recorded + 3);
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
+}
+
+TEST_F(ServerTest, StaleGenerationGoesToAWorker) {
+  auto server = StartServer({});
+  Client client = MakeClient(*server);
+  auto before = client.Query("?- p(X, Y).");
+  auto warm = client.Query("?- p(X, Y).");
+  ASSERT_TRUE(before.ok() && warm.ok());
+  EXPECT_EQ(server->stats().inline_hits, 1u);
+
+  auto write = client.Statement("object d { }. e(c, d).");
+  ASSERT_TRUE(write.ok());
+  EXPECT_TRUE((*write).ok()) << write->body;
+  // The generation that holds the cached answer is stale now: the read goes
+  // to a worker, which builds the new generation and sees the write.
+  auto after = client.Query("?- p(X, Y).");
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE((*after).ok()) << after->body;
+  EXPECT_EQ(before->body.find("c, d"), std::string::npos);
+  EXPECT_NE(after->body.find("c, d"), std::string::npos) << after->body;
+  EXPECT_EQ(server->stats().inline_hits, 1u);
+
+  auto again = client.Query("?- p(X, Y).");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->body, after->body);
+  EXPECT_EQ(server->stats().inline_hits, 2u);
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
+}
+
+TEST_F(ServerTest, ExplainAndSysGoalsStayOnWorkers) {
+  auto server = StartServer({});
+  Client client = MakeClient(*server);
+  auto rule =
+      client.Statement("seen(F, C) <- sys_queries(F, C, P, Q, R, S).");
+  ASSERT_TRUE(rule.ok());
+  ASSERT_TRUE((*rule).ok()) << rule->body;
+  // Warm the cache with the goal EXPLAIN describes.
+  ASSERT_TRUE(client.Query("?- p(X, Y).").ok());
+
+  auto explain = client.Query("explain ?- p(X, Y).");
+  auto explain_again = client.Query("explain ?- p(X, Y).");
+  ASSERT_TRUE(explain.ok() && explain_again.ok());
+  ASSERT_TRUE((*explain).ok()) << explain->body;
+  EXPECT_EQ(explain->body.rfind("EXPLAIN ?- p(X, Y).\n", 0), 0u)
+      << explain->body;
+  EXPECT_NE(explain->body.find("query cache: hit"), std::string::npos)
+      << explain->body;
+  EXPECT_EQ(explain_again->body, explain->body);
+
+  // System goals, asked directly or through a rule, are evaluated afresh:
+  // each repeat counts the query before it.
+  for (const char* goal :
+       {"?- sys_queries(F, C, P, Q, R, S).", "?- seen(F, C)."}) {
+    SCOPED_TRACE(goal);
+    auto first = client.Query(goal);
+    auto second = client.Query(goal);
+    ASSERT_TRUE(first.ok() && second.ok());
+    ASSERT_TRUE((*first).ok()) << first->body;
+    ASSERT_TRUE((*second).ok()) << second->body;
+    EXPECT_NE(second->body, first->body);
+  }
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.inline_hits, 0u);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+}
+
+TEST_F(ServerTest, MixedHitsMissesAndWritesAgree) {
+  // Write k adds one edge, so generation k is the seed plus the first k.
+  constexpr int kWrites = 12;
+  auto write_text = [](int k) {
+    const std::string w = "w" + std::to_string(k);
+    return "object " + w + " { }. e(c, " + w + ").";
+  };
+  const std::vector<std::string> goals = {
+      // hot: asked over and over
+      "?- p(X, Y).", "?- path(a, Y).",
+      // cold: asked now and then
+      "?- e(c, Y).", "?- path(X, Y).", "?- p(b, Y).", "?- path(b, Y).",
+      "?- e(X, Y)."};
+  constexpr size_t kHot = 2;
+
+  // expected[k][g]: goal g over generation k, from one serial session.
+  std::vector<std::vector<std::string>> expected;
+  {
+    VideoDatabase serial_db;
+    QuerySession serial(&serial_db);
+    ASSERT_TRUE(serial.Load(kSeedProgram).ok());
+    for (int k = 0; k <= kWrites; ++k) {
+      if (k > 0) ASSERT_TRUE(serial.Load(write_text(k)).ok());
+      std::vector<std::string> answers;
+      for (const std::string& goal : goals) {
+        auto result = serial.Query(goal);
+        ASSERT_TRUE(result.ok()) << result.status();
+        answers.push_back(result->ToString(&serial_db));
+      }
+      expected.push_back(std::move(answers));
+    }
+  }
+
+  ServerOptions options;
+  options.io_threads = 2;
+  auto server = StartServer(options);
+  std::atomic<int> started{0};  // writes sent
+  std::atomic<int> acked{0};    // writes answered
+  std::thread writer([&] {
+    Client client = MakeClient(*server);
+    for (int k = 1; k <= kWrites; ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      started.store(k);
+      auto write = client.Statement(write_text(k));
+      ASSERT_TRUE(write.ok()) << write.status().ToString();
+      EXPECT_TRUE((*write).ok()) << write->body;
+      acked.store(k);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Client client = MakeClient(*server);
+      for (int i = 0; i < 200 || acked.load() < kWrites; ++i) {
+        const size_t g =
+            i % 4 == 3 ? kHot + static_cast<size_t>(i / 4 + t) %
+                                    (goals.size() - kHot)
+                       : static_cast<size_t>(i + t) % kHot;
+        // The read's generation holds every write answered before it was
+        // sent, and only writes sent before its answer came back.
+        const int lo = acked.load();
+        auto answer = client.Query(goals[g]);
+        const int hi = started.load();
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        ASSERT_TRUE((*answer).ok()) << answer->body;
+        bool matched = false;
+        for (int k = lo; k <= hi && !matched; ++k) {
+          matched = answer->body == expected[k][g];
+        }
+        EXPECT_TRUE(matched) << goals[g] << " between generations " << lo
+                             << " and " << hi << ":\n" << answer->body;
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_GT(stats.inline_hits, 0u);
+  EXPECT_LT(stats.inline_hits, stats.admitted);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
 }
 
 TEST_F(ServerTest, IdleConnectionsAreReaped) {

@@ -113,6 +113,56 @@ TEST(SnapshotManagerTest, LeasesAreExclusiveAndRecycled) {
   EXPECT_EQ((*snapshot)->sessions_built(), 2u);
 }
 
+TEST(SnapshotManagerTest, CurrentIfBuiltNeverBuilds) {
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 2);
+  ASSERT_TRUE(manager.Apply("object a { }. object b { }. e(a, b).").ok());
+  EXPECT_EQ(manager.CurrentIfBuilt(), nullptr);  // nothing built yet
+  EXPECT_EQ(manager.snapshots_built(), 0u);
+
+  auto built = manager.Current();
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(manager.CurrentIfBuilt(), *built);
+
+  // A fact write and a rule write each leave the built generation stale.
+  ASSERT_TRUE(manager.Apply("object c { }. e(b, c).").ok());
+  EXPECT_EQ(manager.CurrentIfBuilt(), nullptr);
+  auto rebuilt = manager.Current();
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(manager.CurrentIfBuilt(), *rebuilt);
+  ASSERT_TRUE(manager.Apply("p(X, Y) <- e(X, Y).").ok());
+  EXPECT_EQ(manager.CurrentIfBuilt(), nullptr);
+  EXPECT_EQ(manager.snapshots_built(), 2u);
+}
+
+TEST(SnapshotManagerTest, TryAcquireHandsOutOnlyFreeBuiltSessions) {
+  VideoDatabase db;
+  SnapshotManager manager(&db, EvalOptions{}, 2);
+  ASSERT_TRUE(manager.Apply("object a { }. object b { }. e(a, b).").ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+
+  // A fresh generation has no session yet, and TryAcquire builds none.
+  EXPECT_FALSE((*snapshot)->TryAcquire().valid());
+  EXPECT_EQ((*snapshot)->sessions_built(), 0u);
+  QuerySession* built = nullptr;
+  {
+    auto held = (*snapshot)->Acquire();
+    ASSERT_TRUE(held.ok());
+    built = held->session();
+    // The one built session is leased: the pool has room for another, but
+    // TryAcquire neither builds it nor waits.
+    EXPECT_FALSE((*snapshot)->TryAcquire().valid());
+    EXPECT_EQ((*snapshot)->sessions_built(), 1u);
+  }
+  SessionLease lease = (*snapshot)->TryAcquire();
+  ASSERT_TRUE(lease.valid());
+  EXPECT_EQ(lease.session(), built);
+  EXPECT_EQ(lease.db_epoch(), (*snapshot)->db_epoch());
+  EXPECT_EQ(RowCount(lease, "?- e(X, Y)."), 1u);
+  EXPECT_EQ((*snapshot)->sessions_built(), 1u);
+}
+
 TEST(SnapshotManagerTest, BoundedPoolBlocksUntilReturnNotForever) {
   VideoDatabase db;
   SnapshotManager manager(&db, EvalOptions{}, 1);

@@ -29,8 +29,9 @@
 #    --strategy= (qsqr, magic, fixpoint) and under auto must print
 #    byte-identical answers, --reorder must not change answers, EXPLAIN must
 #    show the planner's strategy line (and mark forced choices), and
-#    bench_planner's deterministic series must pass its own gates (auto
-#    within 5% of the per-query best, >=5x bound-goal speedup vs fixpoint).
+#    bench_planner's deterministic series must pass its own gates (auto's
+#    choices within 5% of the per-query best, >=5x bound-goal speedup vs
+#    fixpoint).
 # 6b. Self-observation smoke: a workload under `vql --slow-ms=0` must answer
 #    a sys_queries goal containing its own earlier query's fingerprint,
 #    print slow-log entries via .slowlog, and emit a --slowlog-out JSON
@@ -67,9 +68,10 @@
 #    strategy-equivalence property suite's parallel mode, the
 #    differential oracle's 8-thread cases (parallel rule tasks read the
 #    database's temporal index, including over intervals added since the
-#    previous query), and the snapshot and query-cache tests (every session
-#    of a generation reads one database copy and one answer cache) under
-#    TSan.
+#    previous query), and the server, snapshot and query-cache tests (every
+#    session of a generation reads one database copy and one answer cache,
+#    and the IO threads answer cached reads from them too) under TSan. CI's
+#    `tsan` job runs that server section.
 # 9. Configure + build with -DVQLDB_SANITIZE=undefined and run the QSQR,
 #    differential-oracle, strategy and magic-set property, answer-cache,
 #    rendered-answer and parser-fuzz tests under UBSan with
@@ -173,7 +175,7 @@ grep -q "strategy: fixpoint (forced" <(./build/tools/vql --strategy=fixpoint \
     <<< $'object a { }.\nobject b { }.\ne(a, b).\np(X, Y) <- e(X, Y).\nexplain ?- p(a, Y).\n.quit') \
   || { echo "EXPLAIN does not mark a forced strategy"; exit 1; }
 
-echo "== planner bench gate: bench_planner series (auto within 5% of best) =="
+echo "== planner bench gate: bench_planner series (auto's choices within 5% of best) =="
 (cd "$OBS_TMP" && "$OLDPWD/build/bench/bench_planner" >/dev/null)
 
 echo "== columnar smoke: join answers identical with --no-merge-join =="
