@@ -102,7 +102,6 @@ JoinPathSample RunArchiveJoin(VideoDatabase* db, bool merge_join) {
   options.num_threads = 1;
   options.merge_join = merge_join;
   QuerySession session(db, options);
-  session.set_magic_enabled(false);
   session.set_cache_enabled(false);
   VQLDB_CHECK_OK(session.Load(kArchiveJoinProgram));
   auto begin = std::chrono::steady_clock::now();
@@ -222,11 +221,11 @@ void BM_GoalDirectedVsFull(benchmark::State& state) {
       "noise(G1, G2) <- Interval(G1), Interval(G2), "
       "G2.duration => G1.duration."));
   bool goal_directed = state.range(0) == 1;
+  session.mutable_options()->strategy =
+      goal_directed ? EvalStrategy::kAuto : EvalStrategy::kFixpoint;
   for (auto _ : state) {
     session.Invalidate();
-    auto r = goal_directed
-                 ? session.QueryGoalDirected("?- appears(O, G).")
-                 : session.Query("?- appears(O, G).");
+    auto r = session.Query("?- appears(O, G).");
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel(goal_directed ? "goal-directed" : "full-materialize");

@@ -68,23 +68,23 @@ Sample RunGoal(const std::string& goal) {
 
   QuerySession magic(db.get());
   magic.set_cache_enabled(false);
-  // The bench measures the magic rewrite specifically; pin it so kAuto's
-  // cost model can't route the bound goals to QSQR.
+  // The bench measures the magic rewrite specifically; pin it so kAuto
+  // cannot route non-recursive goals to QSQR.
   magic.mutable_options()->strategy = EvalStrategy::kMagic;
   VQLDB_CHECK_OK(magic.Load(kRules));
   auto begin = std::chrono::steady_clock::now();
   auto magic_result = magic.Query(goal);
   auto end = std::chrono::steady_clock::now();
   VQLDB_CHECK_OK(magic_result.status());
-  VQLDB_CHECK(magic.last_exec_info().used_magic)
+  VQLDB_CHECK(magic.last_exec_info().strategy == "magic")
       << goal << ": rewrite unexpectedly declined ("
-      << magic.last_exec_info().magic_reason << ")";
+      << magic.last_exec_info().plan_reason << ")";
   s.magic_ms = std::chrono::duration<double, std::milli>(end - begin).count();
   s.magic_derived = magic.last_stats().derived_facts;
 
   QuerySession naive(db.get());
   naive.set_cache_enabled(false);
-  naive.set_magic_enabled(false);
+  naive.mutable_options()->strategy = EvalStrategy::kFixpoint;
   VQLDB_CHECK_OK(naive.Load(kRules));
   begin = std::chrono::steady_clock::now();
   auto naive_result = naive.Query(goal);
@@ -189,8 +189,8 @@ void BM_MagicVsNaive(benchmark::State& state) {
   auto db = ChainDb();
   QuerySession session(db.get());
   session.set_cache_enabled(false);
-  session.set_magic_enabled(use_magic);
-  if (use_magic) session.mutable_options()->strategy = EvalStrategy::kMagic;
+  session.mutable_options()->strategy =
+      use_magic ? EvalStrategy::kMagic : EvalStrategy::kFixpoint;
   VQLDB_CHECK_OK(session.Load(kRules));
   for (auto _ : state) {
     session.Invalidate();

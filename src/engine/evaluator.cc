@@ -871,38 +871,35 @@ Result<Interpretation> Evaluator::Fixpoint() {
     }
 
     size_t derived_before = db_->derived_interval_count();
-    size_t round_tasks = 0;
     Interpretation out;
     Govern(&out);
-    if (options_.semi_naive && !options_.extended_active_domain) {
-      // Stratify the round into independent (rule, delta_pos) tasks; each
-      // re-derives only valuations that touch the previous round's delta.
-      std::vector<RuleTask> tasks;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        const CompiledRule& rule = rules_[r];
-        for (size_t pos = 0; pos < rule.steps.size(); ++pos) {
-          const CompiledLiteral& lit = rule.steps[pos].literal;
-          bool applicable;
-          if (lit.builtin == BuiltinClass::kNone) {
-            applicable = delta.CountFor(lit.predicate) != 0;
-          } else {
-            applicable = lit.builtin != BuiltinClass::kObject &&
-                         !interval_delta.empty();
-          }
-          if (applicable) tasks.push_back({r, static_cast<int>(pos)});
-        }
+    // Stratify the round into independent (rule, delta_pos) tasks; each
+    // re-derives only valuations that touch the previous round's delta.
+    // Naive rounds run every rule unrestricted.
+    const bool naive = options_.extended_active_domain;
+    std::vector<RuleTask> tasks;
+    for (size_t r = 0; r < rules_.size(); ++r) {
+      if (naive) {
+        tasks.push_back({r, -1});
+        continue;
       }
-      round_tasks = tasks.size();
-      Status round_st = RunRound(tasks, interp, &delta, &interval_delta, &out);
-      if (!round_st.ok()) return finish_error(round_st);
-    } else {
-      std::vector<RuleTask> tasks;
-      tasks.reserve(rules_.size());
-      for (size_t i = 0; i < rules_.size(); ++i) tasks.push_back({i, -1});
-      round_tasks = tasks.size();
-      Status round_st = RunRound(tasks, interp, nullptr, nullptr, &out);
-      if (!round_st.ok()) return finish_error(round_st);
+      const CompiledRule& rule = rules_[r];
+      for (size_t pos = 0; pos < rule.steps.size(); ++pos) {
+        const CompiledLiteral& lit = rule.steps[pos].literal;
+        bool applicable;
+        if (lit.builtin == BuiltinClass::kNone) {
+          applicable = delta.CountFor(lit.predicate) != 0;
+        } else {
+          applicable = lit.builtin != BuiltinClass::kObject &&
+                       !interval_delta.empty();
+        }
+        if (applicable) tasks.push_back({r, static_cast<int>(pos)});
+      }
     }
+    const size_t round_tasks = tasks.size();
+    Status round_st = RunRound(tasks, interp, naive ? nullptr : &delta,
+                               naive ? nullptr : &interval_delta, &out);
+    if (!round_st.ok()) return finish_error(round_st);
 
     Interpretation next_delta;
     Govern(&next_delta);

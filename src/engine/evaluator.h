@@ -1,5 +1,6 @@
 // Bottom-up evaluation of programs: the immediate-consequence operator T_P
-// (Defs. 21-22) and its least fixpoint, computed naively or semi-naively.
+// (Defs. 21-22) and its least fixpoint, computed semi-naively (naive rounds
+// only under the extended active domain, whose growth deltas cannot track).
 //
 // The extended active domain (Defs. 19-20) is handled as follows: the
 // builtin Interval(G) literal ranges over the database's interval objects —
@@ -53,7 +54,7 @@ class ThreadPool;
 /// produce them differs, so — like reorder_body — this never enters the
 /// query-cache key.
 enum class EvalStrategy {
-  kAuto,      // planner picks per query from cardinality estimates
+  kAuto,      // picked per goal from its cone's shape (goal_analysis.h)
   kQsqr,      // top-down memoized backward chaining (falls back when declined)
   kMagic,     // magic-set rewrite + semi-naive fixpoint
   kFixpoint,  // full bottom-up fixpoint, no goal direction
@@ -72,8 +73,6 @@ struct EvalOptions {
   size_t max_iterations = 100000;
   /// Total derived-fact cap (safety net against runaway programs).
   size_t max_facts = 10000000;
-  /// Use semi-naive (delta-driven) evaluation; naive otherwise.
-  bool semi_naive = true;
   /// Reorder rule body literals; off by default — the written order is the
   /// author's plan. With `body_orderer` set, the supplied policy (the
   /// planner's selectivity ordering) decides; otherwise the greedy

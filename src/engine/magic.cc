@@ -31,73 +31,18 @@ std::string MagicPredicate(const std::string& pred, uint64_t mask,
 
 }  // namespace
 
-std::vector<Rule> DependencyCone(const std::string& predicate,
-                                 const std::vector<Rule>& rules) {
-  // Transitive closure of the head -> body-predicate dependency graph,
-  // seeded at the goal predicate.
-  std::set<std::string> reachable = {predicate};
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Rule& rule : rules) {
-      if (!reachable.count(rule.head.predicate)) continue;
-      for (const Atom& atom : rule.body) {
-        if (!atom.IsBuiltinClass() && reachable.insert(atom.predicate).second) {
-          changed = true;
-        }
-      }
-    }
-  }
-  std::vector<Rule> relevant;
-  for (const Rule& rule : rules) {
-    if (reachable.count(rule.head.predicate)) relevant.push_back(rule);
-  }
-  return relevant;
-}
-
 Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
-                                               const std::vector<Rule>& rules,
+                                               const GoalAnalysis& analysis,
                                                const VideoDatabase& db,
                                                const EvalOptions& options) {
   MagicRewrite out;
   const Atom& goal = query.goal;
-
-  if (goal.IsBuiltinClass()) {
-    out.reason = "builtin class goals enumerate the object domain";
-    return out;
+  if (analysis.declined()) {
+    return Status::InvalidArgument("the magic-set rewrite declines " +
+                                   goal.ToString() + ": " +
+                                   analysis.decline_reason);
   }
-  if (options.extended_active_domain) {
-    out.reason = "extended active domain requires the full fixpoint";
-    return out;
-  }
-
-  std::vector<Rule> cone = DependencyCone(goal.predicate, rules);
-
-  // Constructive (++) rules materialize derived intervals as a side effect
-  // of the fixpoint; guarding them would materialize fewer intervals, and
-  // builtin class literals (Interval / Anyobject) enumerate exactly that
-  // object domain. Decline whenever pruning could shrink what a cone rule
-  // observes.
-  for (const Rule& rule : cone) {
-    if (rule.IsConstructive()) {
-      out.reason = "constructive rule in the goal's dependency cone";
-      return out;
-    }
-  }
-  bool any_constructive = false;
-  for (const Rule& rule : rules) any_constructive |= rule.IsConstructive();
-  if (any_constructive) {
-    for (const Rule& rule : cone) {
-      for (const Atom& atom : rule.body) {
-        if (atom.IsBuiltinClass()) {
-          out.reason =
-              "builtin class literal depends on constructively materialized "
-              "intervals";
-          return out;
-        }
-      }
-    }
-  }
+  const std::vector<Rule>& cone = analysis.cone;
 
   // IDB = predicates with at least one defining rule in the cone; literals
   // over anything else match stored facts only and need no demand.
@@ -117,7 +62,6 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
 
   if (!idb.count(goal.predicate)) {
     // Pure EDB goal: stored facts answer it; nothing to rewrite or run.
-    out.applied = true;
     return out;
   }
 
@@ -238,7 +182,6 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
     }
   }
 
-  out.applied = true;
   return out;
 }
 

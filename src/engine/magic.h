@@ -7,7 +7,7 @@
 // the rewritten program derives only tuples relevant to the goal — typically
 // a small fraction of the full least model — while producing exactly the
 // same answer set for the goal (the equivalence is property-tested against
-// the naive fixpoint, serially and in parallel).
+// the full fixpoint, serially and in parallel).
 //
 // Dialect notes. The rewrite targets the paper's positive rule language
 // (Defs. 10-13): relational literals, builtin class literals (Interval /
@@ -26,11 +26,13 @@
 //   * The '#' character cannot appear in a parsed predicate name, so magic
 //     predicates can never collide with user predicates.
 //
-// The rewrite declines (MagicRewrite::applied == false, with a reason) when
-// goal-directed pruning could change answers: constructive (++) rules in the
-// goal's cone, builtin class literals whose object domain constructive rules
-// elsewhere could extend, the extended active domain, and builtin-class
-// goals. Callers fall back to full materialization, preserving equivalence.
+// The rewrite runs on a goal whose analysis (goal_analysis.h) did not
+// decline: constructive (++) rules in the goal's cone, builtin class
+// literals whose object domain constructive rules elsewhere could extend,
+// the extended active domain and builtin-class goals all make pruning
+// change answers, and such goals run the full fixpoint instead. Under
+// EvalStrategy::kAuto the rewrite answers goals with a recursive cone and
+// goals observing sys_* relations.
 
 #ifndef VQLDB_ENGINE_MAGIC_H_
 #define VQLDB_ENGINE_MAGIC_H_
@@ -40,24 +42,14 @@
 
 #include "src/common/result.h"
 #include "src/engine/evaluator.h"
+#include "src/engine/goal_analysis.h"
 #include "src/lang/ast.h"
 #include "src/model/database.h"
 
 namespace vqldb {
 
-/// The rules whose head predicates the goal `predicate` transitively
-/// depends on (the dependency cone), in original rule order. A rule outside
-/// the cone cannot contribute a fact of any predicate the goal can reach.
-std::vector<Rule> DependencyCone(const std::string& predicate,
-                                 const std::vector<Rule>& rules);
-
 /// Result of the demand transformation.
 struct MagicRewrite {
-  /// False when the rewrite declined (see `reason`); the caller must fall
-  /// back to evaluating the unrewritten program.
-  bool applied = false;
-  std::string reason;
-
   /// The goal's adornment string ('b' = bound argument, 'f' = free), e.g.
   /// "bf" for ?- path(a, Y).
   std::string adornment;
@@ -73,13 +65,14 @@ struct MagicRewrite {
 
 class MagicSetRewriter {
  public:
-  /// Rewrites `rules` for goal-directed evaluation of `query`. `db` resolves
-  /// the goal's constant symbols into seed values; `options` supplies the
-  /// concrete domain (whose predicates are checks, not demands) and the
-  /// extended-active-domain flag. Errors only on unresolvable goal
-  /// constants — the same error the un-rewritten query would report.
+  /// Rewrites the goal's dependency cone (`analysis`, of `query.goal`) for
+  /// goal-directed evaluation of `query`. `db` resolves the goal's constant
+  /// symbols into seed values; `options` supplies the concrete domain (whose
+  /// predicates are checks, not demands). Errors on unresolvable goal
+  /// constants — the same error the un-rewritten query would report — and
+  /// on a declined analysis.
   static Result<MagicRewrite> Rewrite(const Query& query,
-                                      const std::vector<Rule>& rules,
+                                      const GoalAnalysis& analysis,
                                       const VideoDatabase& db,
                                       const EvalOptions& options);
 };

@@ -1,31 +1,14 @@
 #include "src/engine/planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <set>
-#include <sstream>
 
 namespace vqldb {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Costs multiply per body literal; cap so pathological programs cannot
-// overflow into meaningless comparisons.
-constexpr double kCostCap = 1e18;
-
-std::string FormatCost(double cost) {
-  if (cost == kInf) return "inf";
-  std::ostringstream os;
-  if (cost >= 100 || cost == std::floor(cost)) {
-    os << static_cast<long long>(std::min(cost, kCostCap));
-  } else {
-    os.precision(3);
-    os << cost;
-  }
-  return os.str();
-}
 
 }  // namespace
 
@@ -74,110 +57,6 @@ double Planner::EstimateCandidates(const std::string& predicate,
     if (bound_mask >> i & 1) reduced /= std::max(1.0, DistinctOf(predicate, i));
   }
   return std::max(reduced, 1.0 / 64);
-}
-
-double Planner::RuleCost(const Rule& rule) const {
-  std::set<std::string> bound;
-  double cost = 1;
-  for (const Atom& atom : rule.body) {
-    double est;
-    if (atom.IsBuiltinClass()) {
-      bool arg_bound = !atom.args.empty() &&
-                       (atom.args[0].kind != Term::Kind::kVariable ||
-                        bound.count(atom.args[0].variable));
-      est = arg_bound ? 1 : std::max(1.0, num_entities_ + num_intervals_);
-    } else {
-      uint64_t mask = 0;
-      for (size_t i = 0; i < atom.args.size() && i < 64; ++i) {
-        const Term& t = atom.args[i];
-        if (t.kind != Term::Kind::kVariable || bound.count(t.variable)) {
-          mask |= uint64_t{1} << i;
-        }
-      }
-      est = EstimateCandidates(atom.predicate, mask, atom.args.size());
-    }
-    cost *= std::max(est, 1.0);
-    if (cost > kCostCap) return kCostCap;
-    for (const Term& t : atom.args) {
-      if (t.kind == Term::Kind::kVariable) bound.insert(t.variable);
-    }
-  }
-  return cost;
-}
-
-PlanChoice Planner::Choose(const PlanInputs& inputs) const {
-  PlanChoice choice;
-
-  // Total program cost: what one full naive pass over every rule does.
-  // Fixpoints repeat rounds, but the relative ordering is what matters.
-  double program_cost = 0;
-  if (inputs.all_rules != nullptr) {
-    for (const Rule& rule : *inputs.all_rules) program_cost += RuleCost(rule);
-  }
-  double cone_cost = 0;
-  if (inputs.cone_rules != nullptr) {
-    for (const Rule& rule : *inputs.cone_rules) cone_cost += RuleCost(rule);
-  }
-  if (cone_cost == 0) {
-    // Pure-EDB goal: the work is the goal relation itself.
-    cone_cost = EstimateRows(inputs.goal_predicate);
-  }
-
-  // Selectivity of the goal's constants: the fraction of the goal relation
-  // a bound probe touches.
-  double bound_sel = 1;
-  for (size_t i = 0; i < inputs.goal_arity && i < 64; ++i) {
-    if (inputs.goal_bound_mask >> i & 1) {
-      bound_sel /= std::max(1.0, DistinctOf(inputs.goal_predicate, i));
-    }
-  }
-  const bool bound_goal = inputs.goal_bound_mask != 0;
-
-  choice.cost_fixpoint =
-      inputs.fixpoint_cached ? EstimateRows(inputs.goal_predicate)
-                             : program_cost + EstimateRows(inputs.goal_predicate);
-  // Magic restricts derivation to the goal's demand cone: roughly the cone
-  // cost scaled by the goal's selectivity, plus a rewrite overhead.
-  choice.cost_magic = inputs.magic_available
-                          ? 10 + bound_sel * cone_cost
-                          : kInf;
-  // QSQR answers bound goals tuple-at-a-time with memoization and no
-  // demand-relation materialization: cheaper than magic on selective bound
-  // goals, costlier on free goals (its outer repeat loop re-walks calls).
-  choice.cost_qsqr = inputs.qsqr_available
-                         ? (bound_goal ? 0.5 * bound_sel * cone_cost
-                                       : 1.5 * cone_cost)
-                         : kInf;
-
-  // A goal with no constants whose cone spans the whole program has nothing
-  // for a goal-directed strategy to prune — no demand (every tuple is
-  // demanded) and no cone (no rule is dropped). Demand guards and
-  // tuple-at-a-time recursion would be pure overhead; go bottom-up.
-  const bool nothing_to_prune = !bound_goal && cone_cost >= program_cost;
-
-  choice.strategy = EvalStrategy::kFixpoint;
-  double best = choice.cost_fixpoint;
-  if (!nothing_to_prune) {
-    if (choice.cost_magic < best) {
-      choice.strategy = EvalStrategy::kMagic;
-      best = choice.cost_magic;
-    }
-    if (choice.cost_qsqr <= best) {
-      // <=: ties break toward the leanest goal-directed strategy.
-      choice.strategy = EvalStrategy::kQsqr;
-      best = choice.cost_qsqr;
-    }
-  }
-
-  std::ostringstream reason;
-  reason << (bound_goal ? "bound goal" : "free goal");
-  if (nothing_to_prune) reason << ", nothing to prune";
-  reason << ", est. cost qsqr " << FormatCost(choice.cost_qsqr) << ", magic "
-         << FormatCost(choice.cost_magic) << ", fixpoint "
-         << FormatCost(choice.cost_fixpoint);
-  if (inputs.fixpoint_cached) reason << " (fixpoint cached)";
-  choice.reason = reason.str();
-  return choice;
 }
 
 std::vector<size_t> Planner::OrderBody(

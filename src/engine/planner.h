@@ -1,7 +1,8 @@
-// Cardinality-based cost model over StatsCollector snapshots: picks the
-// execution strategy (QSQR vs. magic-set rewrite vs. full fixpoint) per
-// query and orders rule body literals by estimated selectivity (replacing
-// the stats-blind bound-first greedy when EvalOptions::reorder_body is on).
+// Selectivity-driven body ordering over StatsCollector snapshots: the
+// LiteralOrderer QuerySession installs when EvalOptions::reorder_body is
+// on, replacing the stats-blind bound-first greedy. Which strategy answers
+// a goal is not this class's business: goal_analysis.h picks it from the
+// goal's cone shape.
 //
 // Estimates come from three sources, in preference order:
 //   1. stored EDB cardinalities (VideoDatabase::FactsFor — exact);
@@ -9,10 +10,6 @@
 //      adornment) selectivity EWMAs from the statistics collector (derived
 //      relations appear here once the fixpoint has observed them);
 //   3. fixed defaults when nothing has been observed yet (cold start).
-// The cost formulas are deliberately coarse — their job is to separate
-// "touch a handful of rows through a bound goal" from "derive the whole
-// IDB", not to rank near-ties; the bench_planner gate only requires auto to
-// sit within 5% of the per-query best on a mixed workload.
 
 #ifndef VQLDB_ENGINE_PLANNER_H_
 #define VQLDB_ENGINE_PLANNER_H_
@@ -22,38 +19,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/evaluator.h"
 #include "src/engine/rule_compiler.h"
-#include "src/lang/ast.h"
 #include "src/model/database.h"
 #include "src/obs/stats.h"
 
 namespace vqldb {
-
-/// One strategy decision with its cost estimates (surfaced by EXPLAIN and
-/// recorded into sys_plan_choices).
-struct PlanChoice {
-  EvalStrategy strategy = EvalStrategy::kFixpoint;
-  double cost_qsqr = 0;
-  double cost_magic = 0;
-  double cost_fixpoint = 0;
-  std::string reason;  // one-line justification for EXPLAIN
-};
-
-/// Everything Choose() needs to know about one query.
-struct PlanInputs {
-  std::string goal_predicate;
-  uint64_t goal_bound_mask = 0;  // bit i set => goal argument i is a constant
-  size_t goal_arity = 0;
-  /// The full rule program and the goal's dependency cone within it.
-  const std::vector<Rule>* all_rules = nullptr;
-  const std::vector<Rule>* cone_rules = nullptr;
-  /// The session already holds a materialized full fixpoint (answering from
-  /// it costs only the goal-relation scan).
-  bool fixpoint_cached = false;
-  bool magic_available = true;
-  bool qsqr_available = true;
-};
 
 class Planner : public LiteralOrderer {
  public:
@@ -61,10 +31,6 @@ class Planner : public LiteralOrderer {
   /// cardinalities (entity/interval counts; EDB row counts are read live —
   /// FactsFor returns a reference, so the reads are cheap).
   Planner(const VideoDatabase* db, obs::StatsSnapshot snapshot);
-
-  /// Picks the cheapest available strategy for the query. Deterministic:
-  /// equal costs break toward qsqr, then magic, then fixpoint.
-  PlanChoice Choose(const PlanInputs& inputs) const;
 
   /// LiteralOrderer: greedy minimum-estimated-candidates body order under
   /// the legality constraint (computable literals only once fully bound).
@@ -88,9 +54,6 @@ class Planner : public LiteralOrderer {
 
  private:
   double DistinctOf(const std::string& predicate, size_t column) const;
-  /// Estimated cost of one naive evaluation of a rule body: product of
-  /// per-literal candidate estimates under progressive binding.
-  double RuleCost(const Rule& rule) const;
 
   const VideoDatabase* db_;
   std::map<std::pair<std::string, size_t>, double> distinct_;

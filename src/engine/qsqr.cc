@@ -9,7 +9,6 @@
 #include "src/constraint/concrete_domain.h"
 #include "src/engine/binding.h"
 #include "src/engine/eval_common.h"
-#include "src/engine/magic.h"
 #include "src/model/term_dict.h"
 #include "src/obs/stats.h"
 
@@ -55,42 +54,12 @@ bool MatchesPattern(const Pattern& pattern, const std::vector<Value>& args) {
   return true;
 }
 
-// Whether some head predicate of `rules` reaches itself through the
-// relational literals of rule bodies (a rule naming its own head counts).
-// Peels predicates whose bodies call no unpeeled head predicate; exactly
-// the predicates on or above a cycle never peel.
-bool IsRecursive(const std::vector<CompiledRule>& rules,
-                 const std::map<std::string, std::vector<size_t>>& by_head) {
-  std::set<std::string> unpeeled;
-  for (const auto& entry : by_head) unpeeled.insert(entry.first);
-  bool peeled = true;
-  while (peeled) {
-    peeled = false;
-    for (auto it = unpeeled.begin(); it != unpeeled.end();) {
-      bool calls_unpeeled = false;
-      for (size_t ri : by_head.at(*it)) {
-        for (const CompiledStep& step : rules[ri].steps) {
-          calls_unpeeled |= unpeeled.count(step.literal.predicate) > 0;
-        }
-      }
-      if (calls_unpeeled) {
-        ++it;
-      } else {
-        it = unpeeled.erase(it);
-        peeled = true;
-      }
-    }
-  }
-  return !unpeeled.empty();
-}
-
 class Engine {
  public:
   Engine(const VideoDatabase& db, const EvalOptions& options)
       : db_(db), options_(options) {}
 
-  Status Init(const Query& query, const std::vector<Rule>& cone,
-              QsqrResult* out);
+  Status Init(const Query& query, const GoalAnalysis& goal, QsqrResult* out);
   Status Run(QsqrResult* out);
 
  private:
@@ -125,10 +94,12 @@ class Engine {
   EvalStats stats_;
 };
 
-Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
+Status Engine::Init(const Query& query, const GoalAnalysis& analysis,
                     QsqrResult* out) {
   const Atom& goal = query.goal;
+  const std::vector<Rule>& cone = analysis.cone;
   goal_pred_ = goal.predicate;
+  recursive_ = analysis.recursive;
 
   // Compile the cone with the same options the bottom-up engines use, so
   // reordering (greedy or planner-driven) behaves identically.
@@ -156,13 +127,11 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
   }
   out->adornment = obs::AdornmentString(goal_pattern_.mask, goal.args.size());
 
-  // Read off the compiled cone once: whether it is recursive (only then
-  // does Run repeat its pass), and whether any body names the goal
-  // predicate. Only such a body, which makes the goal recursive, probes the
-  // goal relation under another pattern; without one its stored rows are
-  // read by nothing but AnswerFrom, which drops every row that differs from
-  // a goal constant, so only the matching rows load.
-  recursive_ = IsRecursive(rules_, rules_by_head_);
+  // Whether any body names the goal predicate. Only such a body, which
+  // makes the goal recursive, probes the goal relation under another
+  // pattern; without one its stored rows are read by nothing but
+  // AnswerFrom, which drops every row that differs from a goal constant, so
+  // only the matching rows load.
   bool body_names_goal = false;
   for (const CompiledRule& rule : rules_) {
     for (const CompiledStep& step : rule.steps) {
@@ -225,7 +194,6 @@ Status Engine::Run(QsqrResult* out) {
   stats_.iterations = passes_;
   out->stats = stats_;
   out->memo = std::move(memo_);
-  out->applied = true;
   return Status::OK();
 }
 
@@ -486,20 +454,13 @@ Status Engine::CheckInterrupt() const {
 }  // namespace
 
 Result<QsqrResult> QsqrEvaluator::Run(const Query& query,
-                                      const std::vector<Rule>& rules,
+                                      const GoalAnalysis& analysis,
                                       const VideoDatabase& db,
                                       const EvalOptions& options) {
-  QsqrResult out;
   const Atom& goal = query.goal;
-
-  // Declines mirror the magic rewrite's, for the same soundness reasons.
-  if (goal.IsBuiltinClass()) {
-    out.reason = "builtin class goals enumerate the object domain";
-    return out;
-  }
-  if (options.extended_active_domain) {
-    out.reason = "extended active domain requires the full fixpoint";
-    return out;
+  if (analysis.declined()) {
+    return Status::InvalidArgument("qsqr declines " + goal.ToString() + ": " +
+                                   analysis.decline_reason);
   }
   for (size_t i = 0; i < goal.args.size(); ++i) {
     if (goal.args[i].kind == Term::Kind::kConcat) {
@@ -507,31 +468,9 @@ Result<QsqrResult> QsqrEvaluator::Run(const Query& query,
           "constructive terms are not allowed in query goals");
     }
   }
-
-  std::vector<Rule> cone = DependencyCone(goal.predicate, rules);
-  for (const Rule& rule : cone) {
-    if (rule.IsConstructive()) {
-      out.reason = "constructive rule in the goal's dependency cone";
-      return out;
-    }
-  }
-  bool any_constructive = false;
-  for (const Rule& rule : rules) any_constructive |= rule.IsConstructive();
-  if (any_constructive) {
-    for (const Rule& rule : cone) {
-      for (const Atom& atom : rule.body) {
-        if (atom.IsBuiltinClass()) {
-          out.reason =
-              "builtin class literal depends on constructively materialized "
-              "intervals";
-          return out;
-        }
-      }
-    }
-  }
-
+  QsqrResult out;
   Engine engine(db, options);
-  VQLDB_RETURN_NOT_OK(engine.Init(query, cone, &out));
+  VQLDB_RETURN_NOT_OK(engine.Init(query, analysis, &out));
   VQLDB_RETURN_NOT_OK(engine.Run(&out));
   return out;
 }

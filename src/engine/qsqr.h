@@ -36,11 +36,11 @@
 // concrete-domain literals and builtin-class domains identical by
 // construction.
 //
-// QSQR declines (applied == false) in exactly the situations the magic
-// rewrite declines — builtin-class goals, the extended active domain,
-// constructive rules in (or observable from) the goal's cone — because all
-// three make goal-directed pruning unsound for the same reasons. Callers
-// fall back to a bottom-up strategy, preserving equivalence.
+// QSQR runs on a goal whose analysis (goal_analysis.h) did not decline;
+// the cases that make goal-directed pruning unsound are the magic
+// rewrite's too, and such goals run the full fixpoint. Under
+// EvalStrategy::kAuto QSQR answers every goal with a non-recursive cone
+// that observes no sys_* relation: one pass, no demand relations.
 
 #ifndef VQLDB_ENGINE_QSQR_H_
 #define VQLDB_ENGINE_QSQR_H_
@@ -50,6 +50,7 @@
 
 #include "src/common/result.h"
 #include "src/engine/evaluator.h"
+#include "src/engine/goal_analysis.h"
 #include "src/engine/interpretation.h"
 #include "src/lang/ast.h"
 #include "src/model/database.h"
@@ -58,11 +59,6 @@ namespace vqldb {
 
 /// Result of one QSQR evaluation.
 struct QsqrResult {
-  /// False when QSQR declined (see `reason`); the caller must fall back to
-  /// a bottom-up strategy.
-  bool applied = false;
-  std::string reason;
-
   /// The goal's adornment string ('b' = bound argument, 'f' = free).
   std::string adornment;
 
@@ -80,13 +76,14 @@ struct QsqrResult {
 
 class QsqrEvaluator {
  public:
-  /// Answers `query` over `rules` top-down. `db` supplies the EDB and
+  /// Answers `query` top-down over its goal's dependency cone (`analysis`,
+  /// of `query.goal`; an error when it declined). `db` supplies the EDB and
   /// resolves goal constants; it is never mutated (constructive rules make
-  /// QSQR decline). Honors options.deadline / cancel / budget at the same
-  /// granularity as the bottom-up engine, and options.max_iterations /
+  /// the analysis decline). Honors options.deadline / cancel / budget at the
+  /// same granularity as the bottom-up engine, and options.max_iterations /
   /// max_facts as caps on outer passes / memo size.
   static Result<QsqrResult> Run(const Query& query,
-                                const std::vector<Rule>& rules,
+                                const GoalAnalysis& analysis,
                                 const VideoDatabase& db,
                                 const EvalOptions& options);
 };

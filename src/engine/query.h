@@ -7,10 +7,12 @@
 // memoizing query cache (src/engine/query_cache.h: keyed on the goal's
 // shape, its bound values, and the database/rule epochs, so entries can
 // never outlive the state they were computed against; sessions over one
-// database may share one), then applies the magic-set demand transformation
-// (src/engine/magic.h) so the fixpoint derives only goal-relevant tuples,
-// falling back to full materialization whenever the rewrite declines. All
-// three paths produce identical answer sets.
+// database may share one), then analyzes the goal once (goal_analysis.h)
+// and runs the strategy EvalOptions::strategy names, under kAuto the one
+// the goal's cone shape picks: QSQR (src/engine/qsqr.h) for a
+// non-recursive cone, the magic-set rewrite (src/engine/magic.h) for a
+// recursive one or a goal observing sys_* relations, and the full fixpoint
+// when goal direction declines. All three produce identical answer sets.
 //
 // Answers come back two ways. Run() and Query() return values, decoded from
 // the cache on a hit. RunRendered() and QueryRendered() return text for
@@ -33,6 +35,7 @@
 #include "src/common/budget.h"
 #include "src/common/result.h"
 #include "src/engine/evaluator.h"
+#include "src/engine/goal_analysis.h"
 #include "src/engine/interpretation.h"
 #include "src/engine/planner.h"
 #include "src/engine/query_cache.h"
@@ -61,19 +64,13 @@ struct QueryResult {
 /// How the last Run() actually answered its query (introspection for tests,
 /// the shell, and EXPLAIN).
 struct QueryExecInfo {
-  bool cache_hit = false;   // served from the query cache, no evaluation
-  bool used_magic = false;  // evaluated the magic-rewritten program
-  bool used_qsqr = false;   // answered top-down by the QSQR engine
-  std::string magic_reason; // why the rewrite declined (when it did)
-  std::string adornment;    // goal adornment when magic/qsqr applied, "bf"
-  /// The strategy that actually executed ("qsqr" | "magic" | "fixpoint"),
-  /// and — when the planner chose it (EvalStrategy::kAuto) — the cost
-  /// estimates behind the choice. Forced strategies leave plan_reason empty.
+  bool cache_hit = false;  // served from the query cache, no evaluation
+  std::string adornment;   // goal adornment when magic/qsqr applied, "bf"
+  /// The strategy that executed ("qsqr" | "magic" | "fixpoint"; empty on a
+  /// cache hit) and why (ChooseStrategy's reason, the one EXPLAIN prints; a
+  /// declined goal's reads "declined: ...").
   std::string strategy;
   std::string plan_reason;
-  double cost_qsqr = 0;
-  double cost_magic = 0;
-  double cost_fixpoint = 0;
   size_t magic_rule_count = 0;
   size_t guarded_rule_count = 0;
   // Scatter-gather completeness, filled by the sharded archive layer
@@ -107,9 +104,8 @@ class QuerySession {
   Status AddRule(std::string_view rule_text);
   Status AddRule(Rule rule);
 
-  /// Runs "?- goal." and returns its answer set. Dispatch order: query
-  /// cache (when enabled), magic-set goal-directed evaluation (when enabled
-  /// and applicable), full materialization otherwise.
+  /// Runs "?- goal." and returns its answer set: from the query cache when
+  /// enabled and holding it, else by the strategy ChooseStrategy picks.
   Result<QueryResult> Query(std::string_view query_text);
   Result<QueryResult> Run(const struct Query& query, uint64_t parse_us = 0);
 
@@ -137,40 +133,16 @@ class QuerySession {
   Result<std::shared_ptr<const RenderedAnswer>> RunRendered(
       const struct Query& query);
 
-  /// Goal-directed variant: evaluates only the rules whose head predicates
-  /// the goal (transitively) depends on, instead of materializing the whole
-  /// program. Sound and complete for positive programs (the pruned rules
-  /// cannot contribute facts of the goal's dependency cone). Bypasses the
-  /// fixpoint cache; prefer it for one-shot queries over large rule sets.
-  Result<QueryResult> QueryGoalDirected(std::string_view query_text);
-  Result<QueryResult> RunGoalDirected(const struct Query& query);
-
-  /// Forces the magic-set path (no cache): rewrites the program for the
-  /// goal's binding pattern and evaluates the rewritten fixpoint. Falls
-  /// back to full materialization when the rewrite declines (see
-  /// MagicSetRewriter). Exposed for tests and benchmarks; Run() uses this
-  /// automatically.
-  Result<QueryResult> RunMagic(const struct Query& query);
-
-  /// Forces the top-down QSQR path (no cache): answers the goal by memoized
-  /// backward chaining over its dependency cone. Falls back to RunMagic when
-  /// QSQR declines (see QsqrEvaluator) or the goal observes sys_* relations.
-  /// Exposed for tests and benchmarks; Run() with EvalStrategy::kQsqr (or a
-  /// planner choice of qsqr under kAuto) uses this automatically.
-  Result<QueryResult> RunQsqr(const struct Query& query);
-
-  /// EXPLAIN: renders the program that Run() would evaluate — the
-  /// magic-rewritten rules when the demand transformation applies, else the
-  /// goal's dependency cone — with each rule's executable plan (access
-  /// paths, constraint placement), plus the magic and query-cache status.
-  /// With `analyze` set, additionally runs that fixpoint with profiling on
-  /// and appends per-rule / per-round wall times and tuple counts, the
-  /// aggregate evaluation stats, and the answer set — EXPLAIN ANALYZE.
-  /// Diagnostic: never serves from or stores into the query cache.
+  /// EXPLAIN: names the strategy Run() would execute and why, then renders
+  /// the program it evaluates — the goal's dependency cone for QSQR, the
+  /// magic-rewritten rules for magic sets, every rule for the fixpoint —
+  /// with each rule's executable plan (access paths, constraint placement),
+  /// plus the query-cache status. With `analyze` set, additionally runs
+  /// that strategy and appends its evaluation stats (for the bottom-up
+  /// strategies also per-rule / per-round wall times and tuple counts), its
+  /// storage, and the answer set — EXPLAIN ANALYZE. Diagnostic: never
+  /// serves from or stores into the query cache.
   Result<std::string> Explain(std::string_view query_text, bool analyze);
-
-  /// The rules in the dependency cone of `predicate` (exposed for tests).
-  std::vector<Rule> RelevantRules(const std::string& predicate) const;
 
   /// The materialized least fixpoint (computing it if stale).
   Result<const Interpretation*> Materialize();
@@ -247,11 +219,6 @@ class QuerySession {
     shard_info_provider_ = std::move(provider);
   }
 
-  // ------------------------------------------------------------ magic sets
-
-  bool magic_enabled() const { return magic_enabled_; }
-  void set_magic_enabled(bool on) { magic_enabled_ = on; }
-
   /// How the most recent Run() answered (reset at the start of each Run).
   const QueryExecInfo& last_exec_info() const { return exec_info_; }
 
@@ -272,12 +239,17 @@ class QuerySession {
   static Status ApplyFact(const Rule& fact_rule, VideoDatabase* db);
 
  private:
-  /// Plans and dispatches one query under EvalStrategy::kAuto: builds a
-  /// Planner over the current statistics snapshot, costs the three
-  /// strategies, records the choice (sys_plan_choices) and runs the winner.
-  Result<QueryResult> RunAuto(const struct Query& query);
-  /// The cached strategy-choice planner, refreshed on epoch change.
-  const Planner& AutoPlanner();
+  /// The strategy ChooseStrategy picks for `goal` under this session's
+  /// options, with the goal's analysis (what Run() executes and EXPLAIN
+  /// names).
+  StrategyChoice ChooseFor(const Atom& goal, GoalAnalysis* analysis) const;
+  /// The magic-set rewrite of `query`: demand rules plus guarded cone
+  /// copies, evaluated bottom-up from the goal's seed facts.
+  Result<QueryResult> RunMagic(const struct Query& query,
+                               const GoalAnalysis& analysis);
+  /// Top-down QSQR over the goal's dependency cone.
+  Result<QueryResult> RunQsqr(const struct Query& query,
+                              const GoalAnalysis& analysis);
 
   /// Installs the planner as the body-literal orderer when reorder_body is
   /// on and the caller did not supply one, refreshing its statistics
@@ -359,17 +331,10 @@ class QuerySession {
   /// reorder_body is on (RefreshPlanner); rebuilt per query so its
   /// statistics snapshot stays current.
   std::unique_ptr<Planner> planner_;
-  /// Strategy-choice planner for kAuto, cached per (db epoch, rules epoch):
-  /// a collector snapshot copies every sketch and latency ring, too costly
-  /// to re-take for each sub-millisecond goal (AutoPlanner()).
-  std::unique_ptr<Planner> auto_planner_;
-  uint64_t auto_planner_db_epoch_ = 0;
-  uint64_t auto_planner_rules_epoch_ = 0;
   std::optional<Interpretation> fixpoint_cache_;
   EvalStats last_stats_;
   QueryExecInfo exec_info_;
 
-  bool magic_enabled_ = true;
   bool cache_enabled_ = true;
   uint64_t rules_epoch_ = 0;  // bumped whenever rules_ changes
   /// Rule heads whose dependency cone reads a sys_* relation. Rules are

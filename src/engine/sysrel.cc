@@ -84,13 +84,12 @@ std::vector<Fact> BuildSystemFacts(const SystemFactsInput& input) {
             Value::Int(static_cast<int64_t>(sel.probes)),
             Value::Double(sel.ewma)});
     }
-    // sys_plan_choices(fingerprint, strategy, count, last_cost): how the
-    // cost-based planner dispatched each goal shape under EvalStrategy::kAuto.
+    // sys_plan_choices(fingerprint, strategy, count): how
+    // EvalStrategy::kAuto dispatched each goal shape.
     for (const obs::PlanChoiceView& pc : snap.plan_choices) {
       emit("sys_plan_choices",
            {Value::String(pc.fingerprint), Value::String(pc.strategy),
-            Value::Int(static_cast<int64_t>(pc.count)),
-            Value::Double(pc.last_cost)});
+            Value::Int(static_cast<int64_t>(pc.count))});
     }
     // sys_queries(fingerprint, count, p50_us, p99_us, rows, status): one row
     // per (fingerprint, status); count is that status's completions, the

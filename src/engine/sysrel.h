@@ -16,8 +16,7 @@
 //   sys_columns(pred, col, distinct_est)               - HyperLogLog sketches
 //   sys_selectivity(pred, adornment, probes, ewma)     - per-adornment EWMAs
 //   sys_metrics(name, kind, value)                     - metrics registry
-//   sys_plan_choices(fingerprint, strategy, count, last_cost)
-//                            - cost-based planner decisions under kAuto
+//   sys_plan_choices(fingerprint, strategy, count)     - kAuto's dispatches
 //   sys_queries(fingerprint, count, p50_us, p99_us, rows, status)
 //   sys_cache(kind, enabled, entries, bytes, max_bytes)
 //   sys_budget(scope, field, value)                    - governor + limits

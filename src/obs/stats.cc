@@ -193,13 +193,10 @@ void StatsCollector::RecordQuery(QueryRecord record) {
 }
 
 void StatsCollector::RecordPlanChoice(const std::string& fingerprint,
-                                      const std::string& strategy,
-                                      double est_cost) {
+                                      const std::string& strategy) {
   if (!StatsEnabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  PlanChoiceStats& p = plan_choices_[{fingerprint, strategy}];
-  ++p.count;
-  p.last_cost = est_cost;
+  ++plan_choices_[{fingerprint, strategy}];
 }
 
 void StatsCollector::set_slow_threshold_us(uint64_t us) {
@@ -254,8 +251,8 @@ StatsSnapshot StatsCollector::Snapshot() const {
     phases_[i].Quantiles(&view.p50_us, &view.p99_us);
     snap.phases.push_back(std::move(view));
   }
-  for (const auto& [key, p] : plan_choices_) {
-    snap.plan_choices.push_back({key.first, key.second, p.count, p.last_cost});
+  for (const auto& [key, count] : plan_choices_) {
+    snap.plan_choices.push_back({key.first, key.second, count});
   }
   snap.slow.assign(slow_.begin(), slow_.end());
   return snap;

@@ -85,7 +85,8 @@ class Hll {
 struct QueryRecord {
   std::string fingerprint;   // normalized goal, e.g. "path(?, $0)"
   std::string status;        // "ok" | lowercased status code name
-  std::string access_path;   // "cache" | "magic(...)" | "fixpoint" | "shed"
+  std::string access_path;   // "cache" | "qsqr(...)" | "magic(...)" |
+                             // "fixpoint" | "shed"
   std::string reason;        // failure / trip / shed reason ("" when ok)
   uint64_t parse_us = 0;
   uint64_t rewrite_us = 0;
@@ -123,13 +124,12 @@ struct SelectivityView {
   double ewma = 0;           // smoothed candidates-per-probe / relation-rows
 };
 
-/// Aggregated view of the planner's strategy decisions for one
-/// (fingerprint, strategy) pair — the substrate of sys_plan_choices.
+/// How often EvalStrategy::kAuto dispatched one goal shape to one strategy
+/// — the substrate of sys_plan_choices.
 struct PlanChoiceView {
-  std::string fingerprint;  // normalized goal the plan was chosen for
+  std::string fingerprint;  // normalized goal the strategy was chosen for
   std::string strategy;     // "qsqr" | "magic" | "fixpoint"
   uint64_t count = 0;       // times this strategy was chosen
-  double last_cost = 0;     // estimated cost at the most recent choice
 };
 
 struct PhaseStatView {
@@ -184,10 +184,10 @@ class StatsCollector {
   /// total_us >= slow threshold or status != "ok".
   void RecordQuery(QueryRecord record);
 
-  /// Records one planner strategy decision for a query fingerprint, with
-  /// the estimated cost that won. Feeds sys_plan_choices.
+  /// Records one kAuto strategy decision for a query fingerprint. Feeds
+  /// sys_plan_choices.
   void RecordPlanChoice(const std::string& fingerprint,
-                        const std::string& strategy, double est_cost);
+                        const std::string& strategy);
 
   void set_slow_threshold_us(uint64_t us);
   uint64_t slow_threshold_us() const;
@@ -230,10 +230,6 @@ class StatsCollector {
     double ewma = 0;
     bool seeded = false;
   };
-  struct PlanChoiceStats {
-    uint64_t count = 0;
-    double last_cost = 0;
-  };
 
   mutable std::mutex mu_;
   std::map<std::string, std::vector<Hll>> columns_;
@@ -243,7 +239,7 @@ class StatsCollector {
   std::vector<Hll>* last_sketches_ = nullptr;
   std::map<std::pair<std::string, std::string>, SelectivityStats> selectivity_;
   std::map<std::string, FingerprintStats> queries_;
-  std::map<std::pair<std::string, std::string>, PlanChoiceStats> plan_choices_;
+  std::map<std::pair<std::string, std::string>, uint64_t> plan_choices_;
   std::array<LatencyWindow, 5> phases_;  // parse/rewrite/eval/decode/total
   std::deque<QueryRecord> slow_;
   size_t slow_capacity_ = kDefaultSlowCapacity;

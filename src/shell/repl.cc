@@ -324,17 +324,6 @@ std::string Repl::Meta(const std::string& command,
     timeout_ms_ = ms;
     return "query timeout: " + std::to_string(ms) + " ms\n";
   }
-  if (command == ".magic") {
-    if (argument.empty()) {
-      return std::string("magic sets: ") +
-             (session_.magic_enabled() ? "on" : "off") + "\n";
-    }
-    if (argument == "on" || argument == "off") {
-      session_.set_magic_enabled(argument == "on");
-      return "magic sets: " + argument + "\n";
-    }
-    return "usage: .magic [on|off]\n";
-  }
   if (command == ".strategy") {
     if (argument.empty()) {
       return std::string("strategy: ") +
@@ -638,9 +627,9 @@ std::string Repl::Help() const {
       "  .explain <rule>   show the execution plan of a rule\n"
       "  .threads <N|auto> fixpoint worker threads (1 = serial engine)\n"
       "  .timeout <ms|off> per-query wall-clock budget (DeadlineExceeded)\n"
-      "  .magic [on|off]   goal-directed magic-set rewriting (default on)\n"
       "  .strategy [auto|qsqr|magic|fixpoint]\n"
-      "                    execution strategy (auto = cost-based planner)\n"
+      "                    execution strategy (auto = by the goal's cone:\n"
+      "                    qsqr if non-recursive, magic if recursive)\n"
       "  .reorder [on|off] stats-driven body-literal reordering (default off)\n"
       "  .mergejoin [on|off]\n"
       "                    sorted-segment merge joins (default on; off = hash)\n"

@@ -1,8 +1,10 @@
-// Goal-directed evaluation: QuerySession::QueryGoalDirected evaluates only
-// the goal's dependency cone — same answers, fewer rules fired.
+// Goal-directed evaluation: the goal analysis keeps only the goal's
+// dependency cone, and the strategies that evaluate it (QSQR, magic sets)
+// give the full fixpoint's answers while firing fewer rules.
 
 #include <gtest/gtest.h>
 
+#include "src/engine/goal_analysis.h"
 #include "src/engine/query.h"
 
 namespace vqldb {
@@ -34,34 +36,41 @@ class GoalDirectedTest : public ::testing::Test {
                     .ok());
   }
 
+  GoalAnalysis Analyze(const char* predicate) {
+    Atom goal;
+    goal.predicate = predicate;
+    return AnalyzeGoal(goal, session_->rules(), session_->options());
+  }
+
   VideoDatabase db_;
   std::unique_ptr<QuerySession> session_;
 };
 
 TEST_F(GoalDirectedTest, SameAnswersAsFullMaterialization) {
+  auto directed = session_->Query("?- reach(X, Y).");
+  ASSERT_TRUE(directed.ok());
+  session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
+  session_->set_cache_enabled(false);
   auto full = session_->Query("?- reach(X, Y).");
   ASSERT_TRUE(full.ok());
-  auto directed = session_->QueryGoalDirected("?- reach(X, Y).");
-  ASSERT_TRUE(directed.ok());
   EXPECT_EQ(full->rows, directed->rows);
   EXPECT_EQ(full->columns, directed->columns);
 }
 
 TEST_F(GoalDirectedTest, PrunesUnrelatedCones) {
-  auto relevant = session_->RelevantRules("reach");
+  GoalAnalysis reach = Analyze("reach");
   // Only the two reach rules (edge facts live in the EDB).
-  EXPECT_EQ(relevant.size(), 2u);
-  for (const Rule& rule : relevant) {
+  EXPECT_EQ(reach.cone.size(), 2u);
+  for (const Rule& rule : reach.cone) {
     EXPECT_EQ(rule.head.predicate, "reach");
   }
-  auto directed = session_->QueryGoalDirected("?- reach(X, Y).");
-  ASSERT_TRUE(directed.ok());
-  size_t directed_firings = session_->last_stats().rule_firings;
-  session_->Invalidate();
-  // Force the legacy full-materialization path for the comparison: with
-  // magic sets on, Query() itself prunes and fires even fewer rules.
-  session_->set_magic_enabled(false);
+  EXPECT_TRUE(reach.recursive);
   session_->set_cache_enabled(false);
+  auto directed = session_->Query("?- reach(X, Y).");
+  ASSERT_TRUE(directed.ok());
+  EXPECT_EQ(session_->last_exec_info().strategy, "magic");
+  size_t directed_firings = session_->last_stats().rule_firings;
+  session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
   auto full = session_->Query("?- reach(X, Y).");
   ASSERT_TRUE(full.ok());
   size_t full_firings = session_->last_stats().rule_firings;
@@ -69,25 +78,29 @@ TEST_F(GoalDirectedTest, PrunesUnrelatedCones) {
 }
 
 TEST_F(GoalDirectedTest, TransitiveConeIncluded) {
-  auto relevant = session_->RelevantRules("sym");
   // sym depends on reach: 1 + 2 rules.
-  EXPECT_EQ(relevant.size(), 3u);
-  auto directed = session_->QueryGoalDirected("?- sym(X, Y).");
+  GoalAnalysis sym = Analyze("sym");
+  EXPECT_EQ(sym.cone.size(), 3u);
+  EXPECT_TRUE(sym.recursive);
+  auto directed = session_->Query("?- sym(X, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(directed->rows.size(), 3u);  // ba, ca, cb
 }
 
 TEST_F(GoalDirectedTest, EdbGoalNeedsNoRules) {
-  auto relevant = session_->RelevantRules("edge");
-  EXPECT_TRUE(relevant.empty());
-  auto directed = session_->QueryGoalDirected("?- edge(X, Y).");
+  GoalAnalysis edge = Analyze("edge");
+  EXPECT_TRUE(edge.cone.empty());
+  EXPECT_FALSE(edge.recursive);
+  EXPECT_FALSE(edge.declined());
+  auto directed = session_->Query("?- edge(X, Y).");
   ASSERT_TRUE(directed.ok());
+  EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(directed->rows.size(), 2u);
 }
 
 TEST_F(GoalDirectedTest, ConstantFiltersStillApply) {
   ObjectId a = *db_.Resolve("a");
-  auto directed = session_->QueryGoalDirected("?- reach(a, Y).");
+  auto directed = session_->Query("?- reach(a, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(directed->rows.size(), 2u);  // b and c
   for (const auto& row : directed->rows) {
@@ -96,7 +109,8 @@ TEST_F(GoalDirectedTest, ConstantFiltersStillApply) {
 }
 
 TEST_F(GoalDirectedTest, UnknownPredicateYieldsEmpty) {
-  auto directed = session_->QueryGoalDirected("?- nothing(X).");
+  EXPECT_TRUE(Analyze("nothing").cone.empty());
+  auto directed = session_->Query("?- nothing(X).");
   ASSERT_TRUE(directed.ok());
   EXPECT_TRUE(directed->rows.empty());
 }

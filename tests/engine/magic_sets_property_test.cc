@@ -90,21 +90,20 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool with_deadline) {
         std::chrono::steady_clock::now() + std::chrono::minutes(10);
   }
   QuerySession session(s.db.get(), options);
-  // The suite asserts used_magic, so pin the magic strategy instead of
-  // letting the cost-based kAuto default route bound goals to QSQR.
-  session.mutable_options()->strategy = EvalStrategy::kMagic;
+  // The suite asserts that magic sets ran, so pin the magic strategy instead
+  // of letting the kAuto default route non-recursive goals to QSQR.
   session.set_cache_enabled(false);
   for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
 
   for (const std::string& goal : GoalsFor(s, seed)) {
-    session.set_magic_enabled(true);
+    session.mutable_options()->strategy = EvalStrategy::kMagic;
     auto magic = session.Query(goal);
     ASSERT_TRUE(magic.ok()) << "seed " << seed << " goal " << goal << ": "
                             << magic.status();
-    EXPECT_TRUE(session.last_exec_info().used_magic)
+    EXPECT_EQ(session.last_exec_info().strategy, "magic")
         << "seed " << seed << " goal " << goal;
 
-    session.set_magic_enabled(false);
+    session.mutable_options()->strategy = EvalStrategy::kFixpoint;
     session.Invalidate();
     auto full = session.Query(goal);
     ASSERT_TRUE(full.ok()) << "seed " << seed << " goal " << goal << ": "

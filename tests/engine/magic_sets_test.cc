@@ -1,6 +1,6 @@
 // Magic-set rewriting: structure of the rewritten program, answer
 // equivalence with full materialization on hand-written programs, and the
-// decline conditions that fall back to the full fixpoint.
+// goal-analysis decline conditions that fall back to the full fixpoint.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,9 @@ class MagicSetsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     session_ = std::make_unique<QuerySession>(&db_);
-    // This suite asserts on magic-specific exec info (used_magic, adornment,
+    // This suite asserts on magic-specific exec info (strategy, adornment,
     // derived-fact counts), so pin the strategy rather than letting the
-    // cost-based kAuto default pick QSQR for bound goals.
+    // kAuto default pick QSQR for non-recursive goals.
     session_->mutable_options()->strategy = EvalStrategy::kMagic;
     std::string program;
     // A 12-node edge chain c0 -> c1 -> ... -> c11 plus transitive closure.
@@ -37,11 +37,21 @@ class MagicSetsTest : public ::testing::Test {
     ASSERT_TRUE(session_->Load(program).ok());
   }
 
+  GoalAnalysis Analyze(const std::string& query_text) {
+    auto q = Parser::ParseQuery(query_text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return AnalyzeGoal(q->goal, session_->rules(), session_->options());
+  }
+
   Result<MagicRewrite> Rewrite(const std::string& query_text) {
     auto q = Parser::ParseQuery(query_text);
     VQLDB_RETURN_NOT_OK(q.status());
-    return MagicSetRewriter::Rewrite(*q, session_->rules(), db_,
+    return MagicSetRewriter::Rewrite(*q, Analyze(query_text), db_,
                                      session_->options());
+  }
+
+  void ForceFixpoint() {
+    session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
   }
 
   VideoDatabase db_;
@@ -51,7 +61,6 @@ class MagicSetsTest : public ::testing::Test {
 TEST_F(MagicSetsTest, RewriteStructureForBoundFirstArgument) {
   auto rw = Rewrite("?- path(c0, Y).");
   ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_TRUE(rw->applied);
   EXPECT_EQ(rw->adornment, "bf");
   ASSERT_EQ(rw->seed_facts.size(), 1u);
   EXPECT_EQ(rw->seed_facts[0].relation, "m#path#bf");
@@ -76,7 +85,6 @@ TEST_F(MagicSetsTest, RewriteStructureForBoundFirstArgument) {
 TEST_F(MagicSetsTest, BoundSecondArgumentAdornment) {
   auto rw = Rewrite("?- path(X, c3).");
   ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_TRUE(rw->applied);
   EXPECT_EQ(rw->adornment, "fb");
   ASSERT_EQ(rw->seed_facts.size(), 1u);
   EXPECT_EQ(rw->seed_facts[0].relation, "m#path#fb");
@@ -85,7 +93,6 @@ TEST_F(MagicSetsTest, BoundSecondArgumentAdornment) {
 TEST_F(MagicSetsTest, AllFreeGoalHasNoSeedsOrGuards) {
   auto rw = Rewrite("?- path(X, Y).");
   ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_TRUE(rw->applied);
   EXPECT_EQ(rw->adornment, "ff");
   EXPECT_TRUE(rw->seed_facts.empty());
   EXPECT_EQ(rw->guarded_rule_count, 0u);
@@ -96,7 +103,6 @@ TEST_F(MagicSetsTest, AllFreeGoalHasNoSeedsOrGuards) {
 TEST_F(MagicSetsTest, EdbGoalNeedsNoProgram) {
   auto rw = Rewrite("?- edge(c0, Y).");
   ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_TRUE(rw->applied);
   EXPECT_TRUE(rw->rules.empty());
 }
 
@@ -108,10 +114,10 @@ TEST_F(MagicSetsTest, AnswersMatchFullMaterialization) {
   };
   for (const char* goal : goals) {
     session_->set_cache_enabled(false);
-    session_->set_magic_enabled(true);
+    session_->mutable_options()->strategy = EvalStrategy::kMagic;
     auto magic = session_->Query(goal);
     ASSERT_TRUE(magic.ok()) << goal << ": " << magic.status();
-    session_->set_magic_enabled(false);
+    ForceFixpoint();
     auto full = session_->Query(goal);
     ASSERT_TRUE(full.ok()) << goal << ": " << full.status();
     EXPECT_EQ(magic->rows, full->rows) << goal;
@@ -123,10 +129,10 @@ TEST_F(MagicSetsTest, SelectiveGoalDerivesFewerFacts) {
   session_->set_cache_enabled(false);
   auto magic = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(magic.ok());
-  EXPECT_TRUE(session_->last_exec_info().used_magic);
+  EXPECT_EQ(session_->last_exec_info().strategy, "magic");
   size_t magic_derived = session_->last_stats().derived_facts;
 
-  session_->set_magic_enabled(false);
+  ForceFixpoint();
   session_->Invalidate();
   auto full = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(full.ok());
@@ -139,18 +145,17 @@ TEST_F(MagicSetsTest, SelectiveGoalDerivesFewerFacts) {
 }
 
 TEST_F(MagicSetsTest, BuiltinClassGoalDeclines) {
-  auto rw = Rewrite("?- Interval(G).");
-  ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_FALSE(rw->applied);
-  EXPECT_NE(rw->reason.find("builtin"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- Interval(G).");
+  EXPECT_NE(goal.decline_reason.find("builtin"), std::string::npos);
+  EXPECT_FALSE(Rewrite("?- Interval(G).").ok());
 }
 
 TEST_F(MagicSetsTest, ExtendedActiveDomainDeclines) {
   session_->mutable_options()->extended_active_domain = true;
-  auto rw = Rewrite("?- path(c0, Y).");
-  ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_FALSE(rw->applied);
-  EXPECT_NE(rw->reason.find("extended active domain"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- path(c0, Y).");
+  EXPECT_NE(goal.decline_reason.find("extended active domain"),
+            std::string::npos);
+  EXPECT_FALSE(Rewrite("?- path(c0, Y).").ok());
 }
 
 TEST_F(MagicSetsTest, ConstructiveConeDeclines) {
@@ -160,16 +165,14 @@ TEST_F(MagicSetsTest, ConstructiveConeDeclines) {
                          "seg(gi1). seg(gi2).\n"
                          "combo(G1 ++ G2) <- seg(G1), seg(G2).\n")
                   .ok());
-  auto rw = Rewrite("?- combo(G).");
-  ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_FALSE(rw->applied);
-  EXPECT_NE(rw->reason.find("constructive"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- combo(G).");
+  EXPECT_NE(goal.decline_reason.find("constructive"), std::string::npos);
   // The fallback still answers correctly (and identically with magic off).
   session_->set_cache_enabled(false);
   auto a = session_->Query("?- combo(G).");
   ASSERT_TRUE(a.ok()) << a.status();
-  EXPECT_FALSE(session_->last_exec_info().used_magic);
-  session_->set_magic_enabled(false);
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
+  ForceFixpoint();
   session_->Invalidate();
   auto b = session_->Query("?- combo(G).");
   ASSERT_TRUE(b.ok()) << b.status();
@@ -186,15 +189,13 @@ TEST_F(MagicSetsTest, BuiltinLiteralWithConstructiveRulesDeclines) {
                          "combo(G1 ++ G2) <- seg(G1), seg(G2).\n"
                          "wide(G) <- Interval(G), G.duration => (t > 0).\n")
                   .ok());
-  auto rw = Rewrite("?- wide(G).");
-  ASSERT_TRUE(rw.ok()) << rw.status();
-  EXPECT_FALSE(rw->applied);
-  EXPECT_NE(rw->reason.find("builtin"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- wide(G).");
+  EXPECT_NE(goal.decline_reason.find("builtin"), std::string::npos);
   // Equivalence via fallback: the derived combo interval must appear.
   session_->set_cache_enabled(false);
   auto a = session_->Query("?- wide(G).");
   ASSERT_TRUE(a.ok()) << a.status();
-  session_->set_magic_enabled(false);
+  ForceFixpoint();
   session_->Invalidate();
   auto b = session_->Query("?- wide(G).");
   ASSERT_TRUE(b.ok()) << b.status();
@@ -206,7 +207,7 @@ TEST_F(MagicSetsTest, UnresolvableGoalConstantErrorsBothWays) {
   session_->set_cache_enabled(false);
   auto magic = session_->Query("?- path(nosuch, Y).");
   EXPECT_FALSE(magic.ok());
-  session_->set_magic_enabled(false);
+  ForceFixpoint();
   auto full = session_->Query("?- path(nosuch, Y).");
   EXPECT_FALSE(full.ok());
 }
@@ -215,14 +216,14 @@ TEST_F(MagicSetsTest, ExecInfoReportsDispatch) {
   session_->set_cache_enabled(false);
   ASSERT_TRUE(session_->Query("?- path(c0, Y).").ok());
   const QueryExecInfo& info = session_->last_exec_info();
-  EXPECT_TRUE(info.used_magic);
+  EXPECT_EQ(info.strategy, "magic");
   EXPECT_FALSE(info.cache_hit);
   EXPECT_EQ(info.adornment, "bf");
   EXPECT_GT(info.magic_rule_count, 0u);
 
-  session_->set_magic_enabled(false);
+  ForceFixpoint();
   ASSERT_TRUE(session_->Query("?- path(c0, Y).").ok());
-  EXPECT_FALSE(session_->last_exec_info().used_magic);
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
 }
 
 TEST_F(MagicSetsTest, ExplainShowsMagicStatusAndDemandRules) {
@@ -232,10 +233,11 @@ TEST_F(MagicSetsTest, ExplainShowsMagicStatusAndDemandRules) {
   EXPECT_NE(on->find("m#path#bf"), std::string::npos);
   EXPECT_NE(on->find("query cache:"), std::string::npos);
 
-  session_->set_magic_enabled(false);
+  ForceFixpoint();
   auto off = session_->Explain("?- path(c0, Y).", /*analyze=*/false);
   ASSERT_TRUE(off.ok()) << off.status();
-  EXPECT_NE(off->find("magic: off"), std::string::npos);
+  EXPECT_NE(off->find("strategy: fixpoint (forced)"), std::string::npos);
+  EXPECT_EQ(off->find("magic: on"), std::string::npos);
   EXPECT_EQ(off->find("m#path#bf"), std::string::npos);
 }
 

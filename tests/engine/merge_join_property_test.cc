@@ -103,7 +103,8 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool magic) {
   options.num_threads = num_threads;
   QuerySession session(s.db.get(), options);
   session.set_cache_enabled(false);
-  session.set_magic_enabled(magic);
+  session.mutable_options()->strategy =
+      magic ? EvalStrategy::kAuto : EvalStrategy::kFixpoint;
   for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
 
   for (const std::string& goal : GoalsFor(s, seed)) {

@@ -1,7 +1,8 @@
-// The cost-based planner: cardinality estimates from stored EDB counts and
-// collector sketches, strategy choice (bound goals go goal-directed, free
-// goals with a cached fixpoint stay bottom-up), availability gating, and
-// the sys_plan_choices accounting under EvalStrategy::kAuto.
+// Strategy choice and body ordering: EvalStrategy::kAuto dispatches by the
+// goal's cone shape (declined -> fixpoint, sys_* -> magic sets, recursive
+// -> magic sets, else QSQR), EXPLAIN names the same choice, and
+// sys_plan_choices counts it; the planner's cardinality estimates from
+// stored EDB counts and collector sketches order rule bodies.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include <string>
 
 #include "src/common/logging.h"
-#include "src/engine/magic.h"
+#include "src/engine/goal_analysis.h"
 #include "src/engine/planner.h"
 #include "src/engine/query.h"
 #include "src/lang/parser.h"
@@ -69,90 +70,74 @@ TEST(PlannerTest, ObservedSelectivityOverridesDerivedEstimate) {
   EXPECT_NEAR(planner.EstimateCandidates("edge", 1, 2), 4.5, 1e-9);
 }
 
-TEST(PlannerTest, BoundGoalPrefersGoalDirected) {
-  auto db = ChainDb(40);
-  auto rules = ParseRules({"path(X, Y) <- edge(X, Y).",
-                           "path(X, Z) <- path(X, Y), edge(Y, Z)."});
-  Planner planner(db.get(), obs::StatsSnapshot{});
-  PlanInputs inputs;
-  inputs.goal_predicate = "path";
-  inputs.goal_bound_mask = 1;
-  inputs.goal_arity = 2;
-  inputs.all_rules = &rules;
-  inputs.cone_rules = &rules;
-  PlanChoice choice = planner.Choose(inputs);
-  EXPECT_NE(choice.strategy, EvalStrategy::kFixpoint);
-  EXPECT_LT(choice.cost_qsqr, choice.cost_fixpoint);
-  EXPECT_NE(choice.reason.find("bound goal"), std::string::npos);
+const char* kPathRules =
+    "path(X, Y) <- edge(X, Y).\n"
+    "path(X, Z) <- path(X, Y), edge(Y, Z).\n";
+
+// ChooseStrategy for `goal_text` under `requested`.
+StrategyChoice ChooseFor(const char* goal_text,
+                         const std::vector<Rule>& rules,
+                         EvalStrategy requested = EvalStrategy::kAuto,
+                         EvalOptions options = {}) {
+  auto query = Parser::ParseQuery(goal_text);
+  VQLDB_CHECK(query.ok()) << query.status();
+  return ChooseStrategy(requested, AnalyzeGoal(query->goal, rules, options),
+                        /*sys_goal=*/false);
 }
 
-TEST(PlannerTest, CachedFixpointWinsForFreeGoals) {
-  auto db = ChainDb(40);
+TEST(PlannerTest, BoundGoalPrefersGoalDirected) {
   auto rules = ParseRules({"path(X, Y) <- edge(X, Y).",
-                           "path(X, Z) <- path(X, Y), edge(Y, Z)."});
-  Planner planner(db.get(), obs::StatsSnapshot{});
-  PlanInputs inputs;
-  inputs.goal_predicate = "path";
-  inputs.goal_bound_mask = 0;
-  inputs.goal_arity = 2;
-  inputs.all_rules = &rules;
-  inputs.cone_rules = &rules;
-  inputs.fixpoint_cached = true;
-  PlanChoice choice = planner.Choose(inputs);
-  EXPECT_EQ(choice.strategy, EvalStrategy::kFixpoint);
-  EXPECT_NE(choice.reason.find("fixpoint cached"), std::string::npos);
+                           "path(X, Z) <- path(X, Y), edge(Y, Z).",
+                           "hop2(X, Z) <- edge(X, Y), edge(Y, Z)."});
+  StrategyChoice path = ChooseFor("?- path(c3, Y).", rules);
+  EXPECT_EQ(path.strategy, EvalStrategy::kMagic);
+  EXPECT_EQ(path.reason, "recursive cone");
+  StrategyChoice hop2 = ChooseFor("?- hop2(c3, Y).", rules);
+  EXPECT_EQ(hop2.strategy, EvalStrategy::kQsqr);
+  EXPECT_EQ(hop2.reason, "non-recursive cone");
 }
 
 TEST(PlannerTest, FreeGoalWithWholeProgramConeGoesBottomUp) {
-  // No goal constants and a cone spanning every rule: demand guards and
-  // top-down recursion cannot prune anything, so the planner must not pay
-  // their overhead even when the coarse cost estimates would favor them.
-  auto db = ChainDb(40);
+  // No goal constants and a recursive cone spanning every rule: QSQR would
+  // repeat whole passes; magic sets run the cone's semi-naive fixpoint.
   auto rules = ParseRules({"path(X, Y) <- edge(X, Y).",
                            "path(X, Z) <- path(X, Y), edge(Y, Z)."});
-  Planner planner(db.get(), obs::StatsSnapshot{});
-  PlanInputs inputs;
-  inputs.goal_predicate = "path";
-  inputs.goal_bound_mask = 0;
-  inputs.goal_arity = 2;
-  inputs.all_rules = &rules;
-  inputs.cone_rules = &rules;
-  PlanChoice choice = planner.Choose(inputs);
-  EXPECT_EQ(choice.strategy, EvalStrategy::kFixpoint);
-  EXPECT_NE(choice.reason.find("nothing to prune"), std::string::npos);
+  EXPECT_EQ(ChooseFor("?- path(X, Y).", rules).strategy,
+            EvalStrategy::kMagic);
 }
 
 TEST(PlannerTest, UnavailableStrategiesAreNeverChosen) {
-  auto db = ChainDb(10);
+  // A declined goal runs the fixpoint under every strategy; a forced
+  // strategy names itself before the fallback.
   auto rules = ParseRules({"path(X, Y) <- edge(X, Y)."});
-  Planner planner(db.get(), obs::StatsSnapshot{});
-  PlanInputs inputs;
-  inputs.goal_predicate = "path";
-  inputs.goal_bound_mask = 1;
-  inputs.goal_arity = 2;
-  inputs.all_rules = &rules;
-  inputs.cone_rules = &rules;
-  inputs.magic_available = false;
-  inputs.qsqr_available = false;
-  PlanChoice choice = planner.Choose(inputs);
-  EXPECT_EQ(choice.strategy, EvalStrategy::kFixpoint);
+  EvalOptions extended;
+  extended.extended_active_domain = true;
+  for (EvalStrategy requested : {EvalStrategy::kAuto, EvalStrategy::kQsqr,
+                                 EvalStrategy::kMagic}) {
+    StrategyChoice choice =
+        ChooseFor("?- path(c3, Y).", rules, requested, extended);
+    EXPECT_EQ(choice.strategy, EvalStrategy::kFixpoint);
+    EXPECT_NE(choice.reason.find("declined: extended active domain"),
+              std::string::npos)
+        << choice.reason;
+  }
+  EXPECT_EQ(ChooseFor("?- path(c3, Y).", rules, EvalStrategy::kQsqr,
+                      extended)
+                .reason.find("forced qsqr; "),
+            0u);
 }
 
 TEST(PlannerTest, AutoPicksGoalDirectedForBoundGoalEndToEnd) {
   auto db = ChainDb(60);
   QuerySession session(db.get());
   session.set_cache_enabled(false);
-  ASSERT_TRUE(session
-                  .Load("path(X, Y) <- edge(X, Y).\n"
-                        "path(X, Z) <- path(X, Y), edge(Y, Z).\n")
-                  .ok());
+  ASSERT_TRUE(session.Load(kPathRules).ok());
   ASSERT_EQ(session.options().strategy, EvalStrategy::kAuto);
   auto bound = session.Query("?- path(c50, Y).");
   ASSERT_TRUE(bound.ok()) << bound.status();
   const QueryExecInfo& info = session.last_exec_info();
-  EXPECT_TRUE(info.used_qsqr || info.used_magic)
-      << "auto chose " << info.strategy;
-  EXPECT_FALSE(info.plan_reason.empty());
+  EXPECT_EQ(info.strategy, "magic");
+  EXPECT_EQ(info.plan_reason, "recursive cone");
   EXPECT_EQ(bound->rows.size(), 9u);
 }
 
@@ -174,20 +159,50 @@ TEST(PlannerTest, AutoRecordsPlanChoicesIntoSysRelation) {
   }
   EXPECT_TRUE(saw);
   // And the sys_plan_choices relation surfaces the same rows.
-  auto rows = session.Query("?- sys_plan_choices(F, S, C, L).");
+  auto rows = session.Query("?- sys_plan_choices(F, S, C).");
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_FALSE(rows->rows.empty());
 }
 
-TEST(PlannerTest, ExplainShowsAutoChoiceWithCosts) {
+TEST(PlannerTest, AutoDispatchFollowsTheConeRule) {
+  auto db = ChainDb(20);
+  QuerySession session(db.get());
+  session.set_cache_enabled(false);
+  ASSERT_TRUE(session.Load(kPathRules).ok());
+  ASSERT_TRUE(session
+                  .Load("interval gi1 { duration: (t > 0 and t < 5) }.\n"
+                        "interval gi2 { duration: (t > 5 and t < 9) }.\n"
+                        "seg(gi1). seg(gi2).\n"
+                        "combo(G1 ++ G2) <- seg(G1), seg(G2).\n"
+                        "hop2(X, Z) <- edge(X, Y), edge(Y, Z).\n")
+                  .ok());
+  const struct {
+    const char* goal;
+    const char* strategy;
+  } cases[] = {
+      {"?- path(X, c3).", "magic"},                   // recursive cone
+      {"?- hop2(X, Z).", "qsqr"},                     // free, non-recursive
+      {"?- edge(c3, Y).", "qsqr"},                    // stored only
+      {"?- combo(G).", "fixpoint"},                   // constructive: declined
+      {"?- sys_relations(P, A, R, B, S).", "magic"},  // observes sys_*
+  };
+  for (const auto& c : cases) {
+    auto result = session.Query(c.goal);
+    ASSERT_TRUE(result.ok()) << c.goal << ": " << result.status();
+    EXPECT_EQ(session.last_exec_info().strategy, c.strategy) << c.goal;
+  }
+}
+
+TEST(PlannerTest, ExplainShowsAutoChoiceWithItsReason) {
   auto db = ChainDb(20);
   QuerySession session(db.get());
   ASSERT_TRUE(session.Load("path(X, Y) <- edge(X, Y).\n").ok());
   auto text = session.Explain("?- path(c3, Y).", /*analyze=*/false);
   ASSERT_TRUE(text.ok()) << text.status();
-  EXPECT_NE(text->find("strategy: "), std::string::npos) << *text;
-  EXPECT_NE(text->find("est. cost"), std::string::npos) << *text;
-  // Forcing a strategy still explains the planner's view, marked forced.
+  EXPECT_NE(text->find("strategy: qsqr (non-recursive cone)"),
+            std::string::npos)
+      << *text;
+  // A forced strategy is marked forced.
   session.mutable_options()->strategy = EvalStrategy::kFixpoint;
   auto forced = session.Explain("?- path(c3, Y).", /*analyze=*/false);
   ASSERT_TRUE(forced.ok()) << forced.status();

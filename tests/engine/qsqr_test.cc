@@ -2,7 +2,7 @@
 // goal-directed pruning (bound goals derive far fewer facts than the full
 // fixpoint), one pass on non-recursive cones, loading only the stored goal
 // rows a goal's constants match, termination on cyclic data, and the
-// decline conditions that mirror the magic-set rewriter's.
+// goal-analysis decline conditions it shares with the magic-set rewriter.
 
 #include <gtest/gtest.h>
 
@@ -41,10 +41,16 @@ class QsqrTest : public ::testing::Test {
     ASSERT_TRUE(session_->Load(program).ok());
   }
 
+  GoalAnalysis Analyze(const std::string& query_text) {
+    auto q = Parser::ParseQuery(query_text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return AnalyzeGoal(q->goal, session_->rules(), session_->options());
+  }
+
   Result<QsqrResult> RunDirect(const std::string& query_text) {
     auto q = Parser::ParseQuery(query_text);
     VQLDB_RETURN_NOT_OK(q.status());
-    return QsqrEvaluator::Run(*q, session_->rules(), db_,
+    return QsqrEvaluator::Run(*q, Analyze(query_text), db_,
                               session_->options());
   }
 
@@ -54,7 +60,7 @@ class QsqrTest : public ::testing::Test {
     session_->mutable_options()->strategy = EvalStrategy::kQsqr;
     auto qsqr = session_->Query(goal);
     ASSERT_TRUE(qsqr.ok()) << goal << ": " << qsqr.status();
-    EXPECT_TRUE(session_->last_exec_info().used_qsqr) << goal;
+    EXPECT_EQ(session_->last_exec_info().strategy, "qsqr") << goal;
     session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
     session_->Invalidate();
     auto full = session_->Query(goal);
@@ -114,7 +120,7 @@ TEST_F(QsqrTest, NonRecursiveConesRunOnePass) {
     ExpectFixpointAnswers(c.goal);
     auto qr = RunDirect(c.goal);
     ASSERT_TRUE(qr.ok()) << c.goal << ": " << qr.status();
-    ASSERT_TRUE(qr->applied) << c.goal << ": " << qr->reason;
+    EXPECT_EQ(Analyze(c.goal).recursive, c.recursive) << c.goal;
     if (c.recursive) {
       EXPECT_GE(qr->stats.iterations, 2u) << c.goal;
     } else {
@@ -156,7 +162,6 @@ TEST_F(QsqrTest, StoredGoalRowsLoadFilteredByConstants) {
 TEST_F(QsqrTest, BoundGoalDerivesFarFewerFacts) {
   auto qsqr = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(qsqr.ok()) << qsqr.status();
-  ASSERT_TRUE(session_->last_exec_info().used_qsqr);
   EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(session_->last_exec_info().adornment, "bf");
   size_t qsqr_derived = session_->last_stats().derived_facts;
@@ -179,7 +184,7 @@ TEST_F(QsqrTest, TerminatesOnCyclicData) {
   ASSERT_TRUE(session_->Load("edge(c11, c0).").ok());
   auto result = session_->Query("?- path(c0, Y).");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(result->rows.size(), 12u);  // every node reachable from c0
 }
 
@@ -196,18 +201,17 @@ TEST_F(QsqrTest, UnresolvableGoalConstantErrors) {
 }
 
 TEST_F(QsqrTest, BuiltinClassGoalDeclines) {
-  auto qr = RunDirect("?- Interval(G).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("builtin"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- Interval(G).");
+  EXPECT_NE(goal.decline_reason.find("builtin"), std::string::npos);
+  EXPECT_FALSE(RunDirect("?- Interval(G).").ok());
 }
 
 TEST_F(QsqrTest, ExtendedActiveDomainDeclines) {
   session_->mutable_options()->extended_active_domain = true;
-  auto qr = RunDirect("?- path(c0, Y).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("extended active domain"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- path(c0, Y).");
+  EXPECT_NE(goal.decline_reason.find("extended active domain"),
+            std::string::npos);
+  EXPECT_FALSE(RunDirect("?- path(c0, Y).").ok());
 }
 
 TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
@@ -217,14 +221,12 @@ TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
                          "seg(gi1). seg(gi2).\n"
                          "combo(G1 ++ G2) <- seg(G1), seg(G2).\n")
                   .ok());
-  auto qr = RunDirect("?- combo(G).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("constructive"), std::string::npos);
+  GoalAnalysis goal = Analyze("?- combo(G).");
+  EXPECT_NE(goal.decline_reason.find("constructive"), std::string::npos);
   // Through the session the decline falls back and still answers.
   auto a = session_->Query("?- combo(G).");
   ASSERT_TRUE(a.ok()) << a.status();
-  EXPECT_FALSE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
   session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
   session_->Invalidate();
   auto b = session_->Query("?- combo(G).");
@@ -235,7 +237,7 @@ TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
 TEST_F(QsqrTest, SysGoalFallsBackToMagicPath) {
   auto result = session_->Query("?- sys_relations(P, A, R, B, S).");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "magic");
   EXPECT_FALSE(result->rows.empty());
 }
 
@@ -248,8 +250,8 @@ TEST_F(QsqrTest, DeadlineIsEnforced) {
 TEST_F(QsqrTest, ExplainShowsStrategyLine) {
   auto text = session_->Explain("?- path(c0, Y).", /*analyze=*/false);
   ASSERT_TRUE(text.ok()) << text.status();
-  EXPECT_NE(text->find("strategy: qsqr"), std::string::npos) << *text;
-  EXPECT_NE(text->find("est. cost"), std::string::npos) << *text;
+  EXPECT_NE(text->find("strategy: qsqr (forced)"), std::string::npos)
+      << *text;
 }
 
 TEST_F(QsqrTest, StatsRecordQsqrAccessPath) {
@@ -272,7 +274,7 @@ TEST_F(QsqrTest, StoredRowsAreNotRecordedAgain) {
   collector.Reset();
   auto result = session_->Query("?- path(c0, Y).");
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(session_->last_exec_info().used_qsqr);
+  ASSERT_EQ(session_->last_exec_info().strategy, "qsqr");
   bool saw_path = false;
   for (const obs::ColumnStatView& column : collector.Snapshot().columns) {
     EXPECT_NE(column.predicate, "edge")

@@ -4,7 +4,8 @@
 // in parallel, under a (far-future) deadline, and under a memory governor.
 // Three coexisting strategies is where answer-divergence bugs breed; this
 // suite is the correctness bar for EvalStrategy::kAuto being free to pick
-// any of them.
+// any of them. EXPLAIN must name, and EXPLAIN ANALYZE evaluate, the
+// strategy Run() executes.
 
 #include <gtest/gtest.h>
 
@@ -111,9 +112,9 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool with_deadline,
     ASSERT_TRUE(qsqr.ok()) << "seed " << seed << " goal " << goal << ": "
                            << qsqr.status();
     // This fragment has no decline condition: QSQR must actually run.
-    EXPECT_TRUE(session.last_exec_info().used_qsqr)
+    EXPECT_EQ(session.last_exec_info().strategy, "qsqr")
         << "seed " << seed << " goal " << goal << " fell back: "
-        << session.last_exec_info().magic_reason;
+        << session.last_exec_info().plan_reason;
     EXPECT_EQ(qsqr->rows, full->rows) << "seed " << seed << " goal " << goal;
     EXPECT_EQ(qsqr->columns, full->columns)
         << "seed " << seed << " goal " << goal;
@@ -122,7 +123,7 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool with_deadline,
     auto magic = session.Query(goal);
     ASSERT_TRUE(magic.ok()) << "seed " << seed << " goal " << goal << ": "
                             << magic.status();
-    EXPECT_TRUE(session.last_exec_info().used_magic)
+    EXPECT_EQ(session.last_exec_info().strategy, "magic")
         << "seed " << seed << " goal " << goal;
     EXPECT_EQ(magic->rows, full->rows) << "seed " << seed << " goal " << goal;
     EXPECT_EQ(magic->columns, full->columns)
@@ -159,6 +160,42 @@ TEST_P(StrategyEquivalenceTest, DeadlinedAnswersAgree) {
 TEST_P(StrategyEquivalenceTest, GovernedAnswersAgree) {
   CheckEquivalence(GetParam() + 13000, /*num_threads=*/1,
                    /*with_deadline=*/false, /*governed=*/true);
+}
+
+// EXPLAIN names the strategy Run() executes, under every requested one, and
+// EXPLAIN ANALYZE evaluates it: QSQR reports passes, the bottom-up
+// strategies rounds, and the rendered answer is Run()'s.
+TEST_P(StrategyEquivalenceTest, ExplainAgreesWithRun) {
+  const uint64_t seed = GetParam();
+  Scenario s = RandomScenario(seed);
+  QuerySession session(s.db.get());
+  session.set_cache_enabled(false);
+  for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
+  for (const std::string& goal : GoalsFor(s, seed)) {
+    for (EvalStrategy requested :
+         {EvalStrategy::kAuto, EvalStrategy::kQsqr, EvalStrategy::kMagic,
+          EvalStrategy::kFixpoint}) {
+      session.mutable_options()->strategy = requested;
+      auto text = session.Explain(goal, /*analyze=*/true);
+      ASSERT_TRUE(text.ok()) << goal << ": " << text.status();
+      const size_t at = text->find("strategy: ");
+      ASSERT_NE(at, std::string::npos) << *text;
+      const size_t from = at + std::string("strategy: ").size();
+      const std::string named = text->substr(from, text->find(' ', from) - from);
+
+      auto run = session.Query(goal);
+      ASSERT_TRUE(run.ok()) << goal << ": " << run.status();
+      const std::string& ran = session.last_exec_info().strategy;
+      EXPECT_EQ(named, ran) << "seed " << seed << " goal " << goal
+                            << " requested " << EvalStrategyName(requested);
+      EXPECT_EQ(text->find(" passes, ") != std::string::npos, ran == "qsqr")
+          << *text;
+      const std::string answer = run->ToString(s.db.get());
+      ASSERT_GE(text->size(), answer.size());
+      EXPECT_EQ(text->substr(text->size() - answer.size()), answer)
+          << "seed " << seed << " goal " << goal;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceTest,

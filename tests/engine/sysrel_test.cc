@@ -151,8 +151,9 @@ TEST_F(SysRelSessionTest, SysJoinByteIdenticalAcrossStrategies) {
            {1, true}, {1, false}, {2, true}, {2, false}, {8, true}}) {
     EvalOptions options;
     options.num_threads = config.threads;
+    options.strategy =
+        config.magic ? EvalStrategy::kAuto : EvalStrategy::kFixpoint;
     QuerySession other(&db_, options);
-    other.set_magic_enabled(config.magic);
     ASSERT_TRUE(other
                     .Load("path(X, Y) <- edge(X, Y).\n"
                           "path(X, Z) <- path(X, Y), edge(Y, Z).\n")

@@ -149,10 +149,10 @@ TEST_F(EndToEndTest, SessionCachingAndInvalidation) {
   Annotator annotator(&db);
   ASSERT_TRUE(annotator.AnnotateTimeline(timeline_).ok());
   QuerySession session(&db);
-  // The legacy full-materialization contract under test: disable the
-  // goal-directed path (which evaluates against the live database) so
-  // queries answer from the session's cached fixpoint.
-  session.set_magic_enabled(false);
+  // The full-materialization contract under test: force the fixpoint
+  // strategy (the goal-directed ones evaluate against the live database)
+  // so queries answer from the session's cached fixpoint.
+  session.mutable_options()->strategy = EvalStrategy::kFixpoint;
   ASSERT_TRUE(session.Load(StandardRuleLibrary()).ok());
   auto before = session.Query("?- appears(O, G).");
   ASSERT_TRUE(before.ok());

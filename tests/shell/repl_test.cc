@@ -320,13 +320,14 @@ TEST_F(ReplTest, TimeoutRejectsMalformedNumbers) {
   EXPECT_EQ(repl_.Execute(".timeout off"), "query timeout: off\n");
 }
 
-TEST_F(ReplTest, MagicToggleRoundTrips) {
-  EXPECT_EQ(repl_.Execute(".magic"), "magic sets: on\n");  // default on
-  EXPECT_EQ(repl_.Execute(".magic off"), "magic sets: off\n");
-  EXPECT_EQ(repl_.Execute(".magic"), "magic sets: off\n");
-  EXPECT_EQ(repl_.Execute(".magic on"), "magic sets: on\n");
-  EXPECT_EQ(repl_.Execute(".magic sideways"), "usage: .magic [on|off]\n");
-  // Queries still run after toggling.
+TEST_F(ReplTest, MagicStrategyRoundTrips) {
+  // .strategy is the one strategy switch: .magic is no command.
+  EXPECT_EQ(repl_.Execute(".magic off"),
+            "unknown command .magic (try .help)\n");
+  EXPECT_EQ(repl_.Execute(".strategy magic"), "strategy: magic\n");
+  EXPECT_EQ(repl_.Execute(".strategy fixpoint"), "strategy: fixpoint\n");
+  EXPECT_EQ(repl_.Execute(".strategy magic"), "strategy: magic\n");
+  // Queries still run after switching.
   EXPECT_EQ(repl_.Execute("object a {}."), "ok\n");
   EXPECT_EQ(repl_.Execute("p(a)."), "ok\n");
   EXPECT_NE(repl_.Execute("?- p(X).").find("a"), std::string::npos);

@@ -30,7 +30,7 @@
 #    byte-identical answers, --reorder must not change answers, EXPLAIN must
 #    show the planner's strategy line (and mark forced choices), and
 #    bench_planner's deterministic series must pass its own gates (auto's
-#    choices within 5% of the per-query best, >=5x bound-goal speedup vs
+#    choices within 5% of the per-query best, >=5x point-lookup speedup vs
 #    fixpoint).
 # 6b. Self-observation smoke: a workload under `vql --slow-ms=0` must answer
 #    a sys_queries goal containing its own earlier query's fingerprint,
@@ -100,11 +100,19 @@ interval gi1 { duration: (t > 0 and t < 10), entities: {o1, o2} }.
 interval gi2 { duration: (t > 2 and t < 8), entities: {o2} }.
 appears(O, G) <- Interval(G), Object(O), O in G.entities.
 contains(G1, G2) <- Interval(G1), Interval(G2), G2.duration => G1.duration, G1 != G2.
+nested(G1, G2) <- contains(G1, G2).
+nested(G1, G3) <- nested(G1, G2), contains(G2, G3).
 explain analyze ?- contains(G1, G2).
+explain analyze ?- nested(G1, G2).
 .quit
 EOF
+# contains/2 has a non-recursive cone, so it runs top-down (QSQR: one pass,
+# no round profile); nested/2 is recursive and runs bottom-up (magic sets).
+grep -q "strategy: qsqr (non-recursive cone)" "$OBS_TMP/shell.out" \
+  && grep -q "^stats: 1 passes, " "$OBS_TMP/shell.out" \
+  || { echo "EXPLAIN ANALYZE of contains/2 is missing its QSQR stats line"; exit 1; }
 grep -q "per rule:" "$OBS_TMP/shell.out" \
-  || { echo "EXPLAIN ANALYZE output missing its profile table"; exit 1; }
+  || { echo "EXPLAIN ANALYZE of nested/2 is missing its profile table"; exit 1; }
 ./build/tools/obs_check metrics "$OBS_TMP/metrics.json"
 ./build/tools/obs_check trace "$OBS_TMP/trace.json"
 
@@ -128,7 +136,7 @@ grep -q "Deadline exceeded" "$OBS_TMP/deadline.out" \
 [ "$deadline_rc" -eq 4 ] \
   || { echo "expected deadline exit code 4, got $deadline_rc"; exit 1; }
 
-echo "== magic smoke: selective query answers identical with --no-magic =="
+echo "== magic smoke: selective query answers identical with --strategy=fixpoint =="
 {
   for i in $(seq 0 60); do echo "object n$i { }."; done
   for i in $(seq 0 59); do echo "edge(n$i, n$((i+1)))."; done
@@ -139,11 +147,12 @@ echo "== magic smoke: selective query answers identical with --no-magic =="
   echo ".quit"
 } > "$OBS_TMP/magic.vql"
 ./build/tools/vql <"$OBS_TMP/magic.vql" >"$OBS_TMP/magic_on.out"
-./build/tools/vql --no-magic --no-cache <"$OBS_TMP/magic.vql" >"$OBS_TMP/magic_off.out"
+./build/tools/vql --strategy=fixpoint --no-cache <"$OBS_TMP/magic.vql" >"$OBS_TMP/magic_off.out"
 diff "$OBS_TMP/magic_on.out" "$OBS_TMP/magic_off.out" \
   || { echo "goal-directed answers diverge from the full fixpoint"; exit 1; }
-grep -q "magic: on" <(./build/tools/vql <<< $'object a { }.\np(a).\nexplain ?- p(X).\n.quit') \
-  || { echo "EXPLAIN is missing the magic status line"; exit 1; }
+grep -q "magic: on" <(./build/tools/vql \
+    <<< $'object a { }.\nobject b { }.\ne(a, b).\np(X, Y) <- e(X, Y).\np(X, Z) <- p(X, Y), e(Y, Z).\nexplain ?- p(a, Y).\n.quit') \
+  || { echo "EXPLAIN of a recursive goal is missing the magic status line"; exit 1; }
 
 echo "== planner smoke: answers byte-identical across --strategy= =="
 {
@@ -189,9 +198,9 @@ echo "== columnar smoke: join answers identical with --no-merge-join =="
   echo "?- wedge(n5, Z)."
   echo ".quit"
 } > "$OBS_TMP/columnar.vql"
-./build/tools/vql --no-magic --no-cache <"$OBS_TMP/columnar.vql" \
+./build/tools/vql --strategy=fixpoint --no-cache <"$OBS_TMP/columnar.vql" \
     >"$OBS_TMP/columnar_merge.out"
-./build/tools/vql --no-magic --no-cache --no-merge-join <"$OBS_TMP/columnar.vql" \
+./build/tools/vql --strategy=fixpoint --no-cache --no-merge-join <"$OBS_TMP/columnar.vql" \
     >"$OBS_TMP/columnar_hash.out"
 diff "$OBS_TMP/columnar_merge.out" "$OBS_TMP/columnar_hash.out" \
   || { echo "merge-join answers diverge from the hash-index fixpoint"; exit 1; }
@@ -403,12 +412,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rendered_query_test
 
 echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
 UBSAN_TESTS=(qsqr_test differential_oracle_test strategy_property_test
-             magic_sets_property_test query_cache_test rendered_query_test
-             parser_fuzz_test)
+             magic_sets_property_test planner_test query_cache_test
+             rendered_query_test parser_fuzz_test)
 cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
 
-echo "== ubsan: qsqr + oracle + strategies + magic sets + caches + parser fuzz =="
+echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz =="
 for t in "${UBSAN_TESTS[@]}"; do
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
 done

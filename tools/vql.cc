@@ -15,11 +15,10 @@
 //   --timeout-ms=<ms>      per-query wall-clock budget; queries that exceed
 //                          it fail with "Deadline exceeded" and the shell
 //                          keeps running (also settable at runtime: .timeout)
-//   --no-magic             disable goal-directed magic-set rewriting — every
-//                          query materializes the full fixpoint (also
-//                          settable at runtime: .magic on|off)
-//   --strategy=<s>         execution strategy: auto (cost-based planner,
-//                          default) | qsqr | magic | fixpoint (also
+//   --strategy=<s>         execution strategy: auto (default: QSQR for a
+//                          non-recursive cone, magic sets for a recursive
+//                          one, the full fixpoint when goal direction
+//                          declines) | qsqr | magic | fixpoint (also
 //                          settable at runtime: .strategy)
 //   --reorder              stats-driven body-literal reordering: the planner
 //                          orders each rule body by estimated selectivity
@@ -197,7 +196,6 @@ int main(int argc, char** argv) {
   int64_t timeout_ms = 0;
   int64_t mem_limit_bytes = 0;
   int64_t max_concurrency = 0;
-  bool no_magic = false;
   bool no_cache = false;
   std::string archive_dir;
   int64_t archive_shards = 4;
@@ -284,10 +282,6 @@ int main(int argc, char** argv) {
     }
     if (StartsWith(arg, "--connect=")) {
       connect_spec = arg.substr(std::string("--connect=").size());
-      continue;
-    }
-    if (arg == "--no-magic") {
-      no_magic = true;
       continue;
     }
     if (StartsWith(arg, "--strategy=")) {
@@ -384,7 +378,6 @@ int main(int argc, char** argv) {
 
   Repl repl(&db, options);
   if (timeout_ms > 0) repl.set_timeout_ms(timeout_ms);
-  if (no_magic) repl.session().set_magic_enabled(false);
   if (no_cache) repl.session().set_cache_enabled(false);
   if (mem_limit_bytes > 0) {
     repl.session().EnableMemoryGovernor(static_cast<size_t>(mem_limit_bytes));

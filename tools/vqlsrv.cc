@@ -21,7 +21,8 @@
 //                            /metrics?dump=, remote drain)
 //   --archive=<dir>          serve the sharded archive at <dir>
 //   --archive-shards=<n>     shard count when creating a fresh archive
-//   --strategy=<s>           auto|qsqr|magic|fixpoint (snapshot sessions)
+//   --strategy=<s>           auto|qsqr|magic|fixpoint (snapshot sessions;
+//                            auto picks by the goal's cone shape)
 //   --threads <n|auto>       fixpoint worker threads per session
 //   --metrics-out=<file>     on exit (after drain), dump metrics (.prom =
 //                            Prometheus text, else JSON)
