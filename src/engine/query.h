@@ -73,12 +73,10 @@ struct QueryExecInfo {
   std::string plan_reason;
   size_t magic_rule_count = 0;
   size_t guarded_rule_count = 0;
-  // Scatter-gather completeness, filled by the sharded archive layer
-  // (src/storage/shard_store.h); single-session queries leave them zero.
-  bool partial = false;        // some targeted shard could not answer
-  size_t shards_targeted = 0;  // shards the goal was scattered to
-  size_t shards_answered = 0;  // shards that contributed an answer
-  size_t shards_pruned = 0;    // shards skipped by constant-binding pruning
+  /// Always false: one session answers completely. A sharded archive's
+  /// scatter reports its completeness in its own result
+  /// (ShardedArchive::ArchiveQueryResult).
+  bool partial = false;
 };
 
 /// A stateful session over one database.
@@ -131,6 +129,13 @@ class QuerySession {
   /// entry; a miss renders and sorts the computed rows once, into the cache
   /// when the goal is cacheable.
   Result<std::shared_ptr<const RenderedAnswer>> RunRendered(
+      const struct Query& query);
+  /// RunRendered() answered from the cache alone, as CachedRendered() is
+  /// QueryRendered(): the same answer on a hit, counted and recorded as
+  /// RunRendered() counts and records one; null when the answer is not
+  /// cached or the goal is not cacheable, having evaluated, counted and
+  /// recorded nothing. For the archive's lookup on the server's IO thread.
+  std::shared_ptr<const RenderedAnswer> CachedRunRendered(
       const struct Query& query);
 
   /// EXPLAIN: names the strategy Run() would execute and why, then renders
@@ -270,7 +275,12 @@ class QuerySession {
     kRows,        // the rendering too; a hit decodes nothing
     kMergeOrder,  // the rendering with its merge order built
     kCachedRows,  // kRows from the cache alone: a miss returns no rendering
+    kCachedMergeOrder,  // kMergeOrder from the cache alone
   };
+  static bool CacheOnly(Render render) {
+    return render == Render::kCachedRows ||
+           render == Render::kCachedMergeOrder;
+  }
   /// One execution's answer: the columns always, decoded rows unless a
   /// rendered call hit the cache, and the rendering when asked for.
   struct Outcome {

@@ -52,6 +52,17 @@ bool IsExplain(std::string_view text) {
   return StartsWith(Trim(text), "explain");
 }
 
+/// The goal of an "explain [analyze] ?- goal." request, and whether it asks
+/// to analyze.
+std::string_view ExplainedGoal(std::string_view text, bool* analyze) {
+  text = Trim(text);
+  text.remove_prefix(std::string_view("explain").size());
+  text = Trim(text);
+  *analyze = StartsWith(text, "analyze");
+  if (*analyze) text.remove_prefix(std::string_view("analyze").size());
+  return Trim(text);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- inner types
@@ -93,8 +104,8 @@ struct Server::RequestCtx {
   bool admitted = false;
   uint64_t effective_deadline_ms = 0;  // 0 = none
   std::shared_ptr<CancelToken> cancel;
-  // A single-db read (not EXPLAIN) arrives parsed by the IO thread: its
-  // goal, or why the text did not parse, and the parse time.
+  // A read (not EXPLAIN) arrives parsed by the IO thread: its goal, or why
+  // the text did not parse, and the parse time.
   Query query;
   Status parse_status;
   uint64_t parse_us = 0;
@@ -596,14 +607,13 @@ void Server::HandleRequest(IoLoop* loop, Conn* conn, Request request,
     }
   }
 
-  // A single-db query other than EXPLAIN is parsed here, once. A binary one
-  // whose answer is cached for the current generation is answered from this
-  // thread; every other one reaches its worker parsed.
+  // A query other than EXPLAIN is parsed here, once, in either mode. A
+  // binary one whose answer is cached is answered from this thread; every
+  // other one reaches its worker parsed.
   Query query;
   Status parse_status;
   uint64_t parse_us = 0;
-  if (request.type == MsgType::kQuery && archive_ == nullptr &&
-      !IsExplain(request.text)) {
+  if (request.type == MsgType::kQuery && !IsExplain(request.text)) {
     const auto parse_start = std::chrono::steady_clock::now();
     Result<Query> parsed = Parser::ParseQuery(request.text);
     parse_us = ElapsedUs(parse_start);
@@ -648,15 +658,21 @@ void Server::HandleRequest(IoLoop* loop, Conn* conn, Request request,
 
 bool Server::AnswerFromCache(IoLoop* loop, Conn* conn, const Query& query,
                              uint64_t parse_us) {
-  // Nothing here builds or waits: a generation being built or written, a
-  // pool without a free built session, or a miss leaves the read to a
-  // worker, which builds as needed. A hit evaluates nothing, so it takes no
-  // gate slot.
+  // Nothing here builds, evaluates or waits. Single-db: a generation being
+  // built or written, a pool without a free built session, or a miss leaves
+  // the read to a worker, which builds as needed. Archive: a shard that is
+  // down, a goal that targets other than one shard, a shard lock another
+  // thread holds (shard locks are only ever try-locked here), or a miss
+  // does. A hit evaluates nothing, so it takes no gate slot.
   const auto started = std::chrono::steady_clock::now();
-  std::shared_ptr<DbSnapshot> generation = snapshots_->CurrentIfBuilt();
-  if (generation == nullptr) return false;
   std::optional<std::string> body;
-  {
+  if (archive_ != nullptr) {
+    std::optional<ShardedArchive::ArchiveQueryResult> result =
+        archive_->CachedQuery(query);
+    if (result.has_value()) body = result->ToString();
+  } else {
+    std::shared_ptr<DbSnapshot> generation = snapshots_->CurrentIfBuilt();
+    if (generation == nullptr) return false;
     SessionLease lease = generation->TryAcquire();
     if (!lease.valid()) return false;
     body = lease.session()->CachedRendered(query, parse_us);
@@ -729,22 +745,19 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(ctx->effective_deadline_ms);
   }
-  bool want_explain = IsExplain(ctx->request.text);
+  const bool want_explain = IsExplain(ctx->request.text);
+  if (!ctx->parse_status.ok()) {
+    return Response{ctx->parse_status.code(), 0,
+                    std::string(ctx->parse_status.message())};
+  }
 
   if (archive_ != nullptr) {
-    // ShardedArchive::Query is not thread-safe (it records per-scatter
-    // exec info); the server serializes archive requests behind one lock.
-    std::lock_guard<std::mutex> lock(archive_mu_);
+    // Scatters run concurrently: each shard session is used only under its
+    // own shard lock, and a scatter's counts come back in its result.
     if (want_explain) {
-      std::string_view text = Trim(ctx->request.text);
-      text.remove_prefix(std::string_view("explain").size());
       bool analyze = false;
-      std::string_view trimmed = Trim(text);
-      if (StartsWith(trimmed, "analyze")) {
-        analyze = true;
-        trimmed.remove_prefix(std::string_view("analyze").size());
-      }
-      auto out = archive_->Explain(Trim(trimmed), analyze);
+      std::string_view goal = ExplainedGoal(ctx->request.text, &analyze);
+      auto out = archive_->Explain(goal, analyze);
       if (!out.ok()) {
         return Response{out.status().code(), 0,
                         std::string(out.status().message())};
@@ -755,7 +768,7 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     qopts.allow_partial = (ctx->request.flags & kFlagPartial) != 0;
     qopts.deadline = deadline;
     qopts.cancel = ctx->cancel;
-    auto result = archive_->Query(ctx->request.text, qopts);
+    auto result = archive_->Query(ctx->query, qopts);
     if (!result.ok()) {
       return Response{result.status().code(), 0,
                       std::string(result.status().message())};
@@ -764,10 +777,6 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     return Response{StatusCode::kOk, flags, result->ToString()};
   }
 
-  if (!ctx->parse_status.ok()) {
-    return Response{ctx->parse_status.code(), 0,
-                    std::string(ctx->parse_status.message())};
-  }
   auto lease = snapshots_->AcquireSession();
   if (!lease.ok()) {
     return Response{lease.status().code(), 0,
@@ -782,15 +791,9 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
 
   Response response;
   if (want_explain) {
-    std::string_view text = Trim(ctx->request.text);
-    text.remove_prefix(std::string_view("explain").size());
     bool analyze = false;
-    std::string_view trimmed = Trim(text);
-    if (StartsWith(trimmed, "analyze")) {
-      analyze = true;
-      trimmed.remove_prefix(std::string_view("analyze").size());
-    }
-    auto out = session->Explain(Trim(trimmed), analyze);
+    auto out =
+        session->Explain(ExplainedGoal(ctx->request.text, &analyze), analyze);
     response = out.ok() ? Response{StatusCode::kOk, 0, std::move(*out)}
                         : Response{out.status().code(), 0,
                                    std::string(out.status().message())};
@@ -799,8 +802,7 @@ Response Server::ExecuteQuery(RequestCtx* ctx) {
     // one copy of the entry's rendering. The IO thread parsed the query.
     auto body = session->QueryRendered(ctx->query, ctx->parse_us);
     if (body.ok()) {
-      uint8_t flags = session->last_exec_info().partial ? kFlagPartial : 0;
-      response = Response{StatusCode::kOk, flags, std::move(*body)};
+      response = Response{StatusCode::kOk, 0, std::move(*body)};
     } else {
       response = Response{body.status().code(), 0,
                           std::string(body.status().message())};
@@ -870,10 +872,12 @@ Response Server::ExecuteAdmin(RequestCtx* ctx) {
     size_t sp = rest.find(' ');
     std::string_view verb = rest.substr(0, sp);
     int64_t id = -1;
+    // An id past the last shard is an unknown command, as in the shell:
+    // KillShard takes only ids that exist.
     if (sp != std::string_view::npos &&
-        ParseNonNegativeInt(Trim(rest.substr(sp)), &id)) {
+        ParseNonNegativeInt(Trim(rest.substr(sp)), &id) &&
+        static_cast<uint64_t>(id) < archive_->shard_count()) {
       uint32_t shard = static_cast<uint32_t>(id);
-      std::lock_guard<std::mutex> lock(archive_mu_);
       if (verb == "kill") {
         archive_->KillShard(shard);
         return Response{StatusCode::kOk, 0, "shard killed"};

@@ -8,16 +8,22 @@
 //     listener (thread-per-core accept) and owns its connections outright —
 //     no connection is ever touched by two IO threads, so connection state
 //     needs no locks. Cross-thread traffic is only the completion queue
-//     (worker -> IO thread, guarded + eventfd wakeup), atomics, and the
-//     snapshot layer's session pool and answer cache (below).
-//   * Cached reads complete on the IO thread: a single-db binary query is
-//     parsed where it was decoded, and when its answer is cached for the
-//     current generation, a free already-built session hands it over and
-//     the IO thread writes the response itself (AnswerFromCache). It never
-//     builds a generation or a session and never waits for one; anything
-//     else goes to the workers with the parsed query. A hit evaluates
-//     nothing, so it takes no QueryGate slot. EXPLAIN, sys_* goals, HTTP
-//     /query and archive mode always go to the workers.
+//     (worker -> IO thread, guarded + eventfd wakeup), atomics, the
+//     snapshot layer's session pool and answer cache, and the archive's
+//     shard locks (below).
+//   * Cached reads complete on the IO thread, in both modes: a binary query
+//     is parsed where it was decoded, and when its answer is cached the IO
+//     thread writes the response itself (AnswerFromCache). Single-db: the
+//     answer must be cached for the current generation and a free
+//     already-built session hands it over. Archive: every shard must be up,
+//     constant pruning must leave exactly one shard, that shard's cache
+//     must hold the answer, and every shard lock must be free at its
+//     try-lock (ShardedArchive::CachedQuery). The IO thread never builds,
+//     evaluates or waits for a lock held elsewhere; anything else goes to
+//     the workers with the parsed query. A hit evaluates nothing, so it
+//     takes no QueryGate slot. EXPLAIN, sys_* goals, HTTP /query, archive
+//     scans and any archive read while a shard is down always go to the
+//     workers.
 //   * Worker pool: requests that need the engine (queries, statements,
 //     admin) are executed on a ThreadPool after passing admission:
 //     first a cheap server-level intake bound (outstanding requests <=
@@ -99,8 +105,9 @@ struct ServerOptions {
   /// work of a cache-heavy load: add IO threads when one is saturated.
   size_t io_threads = 1;
   /// Engine execution pool: cache misses, writes, EXPLAIN, sys_* goals,
-  /// HTTP /query, archive mode, and cached reads the IO thread could not
-  /// serve (a stale generation, a busy writer, no free built session).
+  /// HTTP /query, archive scans, and cached reads the IO thread could not
+  /// serve (a stale generation, a busy writer, no free built session, a
+  /// busy or failed shard).
   size_t worker_threads = 2;
 
   /// Admission front door. Slots + queue also bound the server-level
@@ -175,7 +182,8 @@ class Server {
   /// Single-database mode: reads are snapshot-isolated via SnapshotManager;
   /// statements mutate the live db. `db` must outlive the server.
   Server(VideoDatabase* db, ServerOptions options);
-  /// Archive mode: queries/statements scatter over the tenant shards.
+  /// Archive mode: queries/statements scatter over the tenant shards,
+  /// concurrently: the server holds no lock of its own around the archive.
   /// Statements may target a tenant with a leading "@tenant:<name>" line.
   Server(ShardedArchive* archive, ServerOptions options);
   ~Server();
@@ -229,10 +237,16 @@ class Server {
   void ParseConn(IoLoop* loop, Conn* conn);
   bool ParseBinary(IoLoop* loop, Conn* conn);  // false = conn destroyed
   bool ParseHttp(IoLoop* loop, Conn* conn);
+  /// One decoded request: ping, a draining server and a full intake are
+  /// answered inline; a query other than EXPLAIN is parsed here, in either
+  /// mode, and a binary one whose answer is cached completes through
+  /// AnswerFromCache; everything else goes to a worker, parsed.
   void HandleRequest(IoLoop* loop, Conn* conn, Request request, bool http);
-  /// Writes the answer to a parsed single-db read from this IO thread when
-  /// it is cached for the current generation; false (having done nothing)
-  /// when the read must go to a worker.
+  /// Writes the answer to a parsed read from this IO thread when it is
+  /// cached: for the current generation (single-db), or in the one shard
+  /// the goal targets (archive); false, having done nothing, when the read
+  /// must go to a worker. Takes no lock that can block: the archive's shard
+  /// locks only by try-lock.
   bool AnswerFromCache(IoLoop* loop, Conn* conn, const Query& query,
                        uint64_t parse_us);
   /// Hands a request's response to its live connection: seeded transport
@@ -276,7 +290,6 @@ class Server {
   std::unique_ptr<SnapshotManager> snapshots_;  // single-db mode only
   std::mutex snapshot_metric_mu_;
   uint64_t snapshots_published_ = 0;  // builds already counted; guarded above
-  std::mutex archive_mu_;  // ShardedArchive::Query is not thread-safe
 
   std::shared_ptr<QueryGate> gate_;
   std::unique_ptr<ThreadPool> pool_;

@@ -39,6 +39,20 @@ std::vector<std::string> GoalColumns(const Query& query) {
   return columns;
 }
 
+/// Whether a shard provably contributes nothing to `query`: a constant
+/// symbol the shard cannot resolve cannot match any of its facts (symbols
+/// are shard-local), so skipping the shard preserves completeness.
+bool CannotMatch(const VideoDatabase& db, const Query& query) {
+  for (const Term& t : query.goal.args) {
+    if (t.kind == Term::Kind::kConstant &&
+        t.constant.kind == ConstExpr::Kind::kSymbol &&
+        !db.Resolve(t.constant.text).ok()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// K-way merges shard answers, each read in its merge order, and drops
 /// adjacent duplicates: the rows std::sort + std::unique over their cell
 /// vectors would give, without rendering or sorting anything again. Rows
@@ -83,6 +97,18 @@ RenderedRows MergeRuns(
     }
   }
   return merged;
+}
+
+/// Counts a shard's answer into `result`, and keeps it for the merge when
+/// it has rows.
+void Gather(std::shared_ptr<const RenderedAnswer> answer,
+            ShardedArchive::ShardReport* report,
+            ShardedArchive::ArchiveQueryResult* result,
+            std::vector<std::shared_ptr<const RenderedAnswer>>* runs) {
+  report->answered = true;
+  report->rows = answer->rows().rows();
+  ++result->shards_answered;
+  if (report->rows > 0) runs->push_back(std::move(answer));
 }
 
 }  // namespace
@@ -134,6 +160,12 @@ void ShardedArchive::Shard::SetError(std::string message) {
 std::string ShardedArchive::Shard::Error() const {
   std::lock_guard<std::mutex> lock(error_mu);
   return last_error;
+}
+
+std::string ShardedArchive::Shard::UnavailableMessage(ShardState s) const {
+  std::string detail = Error();
+  return "shard " + std::to_string(id) + " unavailable (" +
+         ShardStateName(s) + ")" + (detail.empty() ? "" : ": " + detail);
 }
 
 // ------------------------------------------------------------ open / ctor
@@ -587,6 +619,16 @@ Status ShardedArchive::SnapshotAll() {
 
 // --------------------------------------------------------------- queries
 
+const ShardedArchive::Shard* ShardedArchive::FirstUnavailable() const {
+  for (const auto& shard : shards_) {
+    const ShardState state = shard->State();
+    if (state != ShardState::kHealthy && state != ShardState::kDegraded) {
+      return shard.get();
+    }
+  }
+  return nullptr;
+}
+
 Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     std::string_view query_text) {
   return Query(query_text, QueryOptions());
@@ -594,9 +636,12 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
 
 Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     std::string_view query_text, const QueryOptions& options) {
-  exec_info_ = QueryExecInfo{};
   VQLDB_ASSIGN_OR_RETURN(struct Query query, Parser::ParseQuery(query_text));
+  return Query(query, options);
+}
 
+Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
+    const struct Query& query, const QueryOptions& options) {
   ArchiveQueryResult result;
   result.columns = GoalColumns(query);
   result.reports.reserve(shards_.size());
@@ -616,21 +661,11 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   // produced while a sibling was down must not be retained, because a
   // cached entry carries no completeness report and a later hit would
   // serve it as if the scatter had been complete.
-  bool degraded_scatter = false;
-  for (const auto& shard_ptr : shards_) {
-    Shard& s = *shard_ptr;
-    ShardState state = s.State();
-    if (state != ShardState::kHealthy && state != ShardState::kDegraded) {
-      if (!options.allow_partial) {
-        std::string detail = s.Error();
-        return Status::Unavailable(
-            "shard " + std::to_string(s.id) + " unavailable (" +
-            ShardStateName(state) + ")" +
-            (detail.empty() ? "" : ": " + detail));
-      }
-      degraded_scatter = true;
-    }
+  const Shard* down = FirstUnavailable();
+  if (down != nullptr && !options.allow_partial) {
+    return Status::Unavailable(down->UnavailableMessage(down->State()));
   }
+  const bool degraded_scatter = down != nullptr;
 
   for (const auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
@@ -641,10 +676,7 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
 
     if (state != ShardState::kHealthy && state != ShardState::kDegraded) {
       ++result.shards_targeted;
-      std::string detail = s.Error();
-      std::string message = "shard " + std::to_string(s.id) +
-                            " unavailable (" + ShardStateName(state) + ")" +
-                            (detail.empty() ? "" : ": " + detail);
+      std::string message = s.UnavailableMessage(state);
       if (!options.allow_partial) {
         return Status::Unavailable(message);
       }
@@ -666,19 +698,7 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
       continue;
     }
 
-    // Prune: a constant symbol the shard cannot resolve cannot match any
-    // of its facts (symbols are shard-local), so the shard provably
-    // contributes nothing — skipping it is completeness-preserving.
-    bool pruned = false;
-    for (const Term& t : query.goal.args) {
-      if (t.kind == Term::Kind::kConstant &&
-          t.constant.kind == ConstExpr::Kind::kSymbol &&
-          !s.db->Resolve(t.constant.text).ok()) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) {
+    if (CannotMatch(*s.db, query)) {
       ++result.shards_pruned;
       report.pruned = true;
       result.reports.push_back(std::move(report));
@@ -721,10 +741,7 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
       continue;
     }
 
-    report.answered = true;
-    report.rows = (*answer)->rows().rows();
-    ++result.shards_answered;
-    if (report.rows > 0) runs.push_back(std::move(*answer));
+    Gather(std::move(*answer), &report, &result, &runs);
     result.reports.push_back(std::move(report));
   }
 
@@ -743,11 +760,51 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   // Deterministic merge: answers are independent of shard order, recovery
   // history, and (for replicated seeds like sys_shards) shard count.
   result.rendered = MergeRuns(runs, result.columns.size());
+  return result;
+}
 
-  exec_info_.partial = result.partial;
-  exec_info_.shards_targeted = result.shards_targeted;
-  exec_info_.shards_answered = result.shards_answered;
-  exec_info_.shards_pruned = result.shards_pruned;
+std::optional<ShardedArchive::ArchiveQueryResult> ShardedArchive::CachedQuery(
+    const struct Query& query) {
+  // A read while a shard cannot answer is a worker's: it fails strictly or
+  // comes back PARTIAL with its completeness report.
+  if (FirstUnavailable() != nullptr) return std::nullopt;
+  ArchiveQueryResult result;
+  result.columns = GoalColumns(query);
+  result.reports.reserve(shards_.size());
+  // The targeted shard's lock is held from its prune check through its
+  // cache lookup; every other shard's only for its prune check.
+  Shard* target = nullptr;
+  size_t target_report = 0;
+  std::unique_lock<std::mutex> target_lock;
+  for (const auto& shard_ptr : shards_) {
+    Shard& s = *shard_ptr;
+    std::unique_lock<std::mutex> lock(s.mu, std::try_to_lock);
+    if (!lock.owns_lock() || s.session == nullptr) return std::nullopt;
+    ShardReport report;
+    report.shard_id = s.id;
+    report.state = ShardStateName(s.State());
+    if (CannotMatch(*s.db, query)) {
+      ++result.shards_pruned;
+      report.pruned = true;
+    } else if (target != nullptr) {
+      return std::nullopt;  // a scan: it merges two or more shards
+    } else {
+      target = &s;
+      target_report = result.reports.size();
+      target_lock = std::move(lock);
+    }
+    result.reports.push_back(std::move(report));
+  }
+  if (target == nullptr) return std::nullopt;
+  std::shared_ptr<const RenderedAnswer> answer =
+      target->session->CachedRunRendered(query);
+  target_lock.unlock();
+  if (answer == nullptr) return std::nullopt;
+
+  ++result.shards_targeted;
+  std::vector<std::shared_ptr<const RenderedAnswer>> runs;
+  Gather(std::move(answer), &result.reports[target_report], &result, &runs);
+  result.rendered = MergeRuns(runs, result.columns.size());
   return result;
 }
 
@@ -786,7 +843,6 @@ std::string ShardedArchive::ArchiveQueryResult::ToString() const {
 Result<std::string> ShardedArchive::Explain(std::string_view query_text,
                                             bool analyze) {
   VQLDB_ASSIGN_OR_RETURN(struct Query query, Parser::ParseQuery(query_text));
-  (void)query;
   std::ostringstream os;
   os << "sharded archive: " << root_ << " (" << shards_.size()
      << " shards)\n";
@@ -824,8 +880,7 @@ Result<std::string> ShardedArchive::Explain(std::string_view query_text,
   if (analyze) {
     QueryOptions opts;
     opts.allow_partial = true;
-    VQLDB_ASSIGN_OR_RETURN(ArchiveQueryResult result,
-                           Query(query_text, opts));
+    VQLDB_ASSIGN_OR_RETURN(ArchiveQueryResult result, Query(query, opts));
     os << "--- scatter-gather ---\n";
     os << "targeted " << result.shards_targeted << ", answered "
        << result.shards_answered << ", pruned " << result.shards_pruned

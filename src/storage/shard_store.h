@@ -52,6 +52,17 @@
 // adjacent duplicates, so the merged answer is the one sorting and
 // deduplicating every rendered row would give: deterministic regardless of
 // shard count or recovery order.
+//
+// Concurrency: the archive has no lock of its own around reads. A shard's
+// serving state (database, session, journal) is guarded by that shard's
+// mutex, and every shard session is used only under it, so scatters,
+// writes, recovery, kills and rotations run concurrently and meet only on
+// the shards they share, one shard lock at a time. Shard health is an
+// atomic read without any lock. A scatter's counts (targeted, answered,
+// pruned, partial) travel in its result, not in archive state.
+// CachedQuery() is the non-blocking read: it takes shard locks only by
+// try-lock and answers only a goal pruned to one shard whose cache holds
+// the answer, so the server's IO thread may call it.
 
 #ifndef VQLDB_STORAGE_SHARD_STORE_H_
 #define VQLDB_STORAGE_SHARD_STORE_H_
@@ -235,15 +246,23 @@ class ShardedArchive {
   Result<ArchiveQueryResult> Query(std::string_view query_text,
                                    const QueryOptions& options);
   Result<ArchiveQueryResult> Query(std::string_view query_text);
+  /// Query() of a parsed query.
+  Result<ArchiveQueryResult> Query(const struct Query& query,
+                                   const QueryOptions& options);
+
+  /// Query() answered without blocking or evaluating: the result Query()
+  /// would give, when every shard is healthy or degraded, constant pruning
+  /// leaves exactly one shard, that shard's cache holds the answer, and
+  /// every shard lock is free at its try-lock. Otherwise nullopt, having
+  /// evaluated, counted and recorded nothing. Shares Query()'s health
+  /// pre-scan, pruning and merge, so ToString() is byte-identical.
+  std::optional<ArchiveQueryResult> CachedQuery(const struct Query& query);
 
   /// EXPLAIN across the archive: scatter plan (targeted/pruned/unavailable
   /// per shard), the per-shard storage breakdown, and the representative
   /// per-shard plan. With `analyze`, runs the query on every available
   /// shard and appends per-shard row counts and the merged answer.
   Result<std::string> Explain(std::string_view query_text, bool analyze);
-
-  /// How the last Query() scattered (targeted/answered/pruned/partial).
-  const QueryExecInfo& last_exec_info() const { return exec_info_; }
 
  private:
   struct Shard {
@@ -266,7 +285,9 @@ class ShardedArchive {
     std::atomic<int64_t> dropped{0};
     std::atomic<int64_t> recoveries{0};
 
-    mutable std::mutex mu;        // serving state + files
+    // Serving state + files. Every call into `session` holds it: shard
+    // sessions are not thread-safe, and this is their only lock.
+    mutable std::mutex mu;
     mutable std::mutex error_mu;  // last_error (string, non-atomic)
     std::string last_error;
 
@@ -276,9 +297,17 @@ class ShardedArchive {
     }
     void SetError(std::string message);
     std::string Error() const;
+    /// "shard N unavailable (<state>)", with the last error when there is
+    /// one.
+    std::string UnavailableMessage(ShardState s) const;
   };
 
   ShardedArchive(std::string root, Options options);
+
+  /// The health pre-scan every read starts with: the first shard that is
+  /// neither healthy nor degraded, so cannot answer, or null. Reads only the
+  /// lock-free health states.
+  const Shard* FirstUnavailable() const;
 
   std::string ManifestPath() const;
   std::string SnapshotPath(const Shard& s, uint64_t generation) const;
@@ -314,8 +343,6 @@ class ShardedArchive {
 
   std::mutex rules_mu_;
   std::vector<Rule> rules_;  // archive-wide rules, reinstalled on recovery
-
-  QueryExecInfo exec_info_;
 };
 
 }  // namespace vqldb

@@ -1,6 +1,7 @@
 // End-to-end tests of the service layer over real loopback sockets: both
 // protocols, admission, deadline propagation, drain, fault tolerance, the
-// exactly-one-response ledger, and cached reads answered on the IO thread.
+// exactly-one-response ledger, and cached reads answered on the IO thread
+// in single-db and archive mode.
 
 #include "src/server/server.h"
 
@@ -64,8 +65,94 @@ uint64_t RecordedCount(const std::string& fingerprint) {
   return 0;
 }
 
+// POSTs `body` to `path` over a fresh connection; the raw HTTP response.
+std::string HttpPost(uint16_t port, const std::string& path,
+                     const std::string& body) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request = "POST " + path +
+                              " HTTP/1.1\r\nHost: localhost\r\n"
+                              "Content-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" +
+                              body;
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string response;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+// Tenant `i`'s objects and segments: a<i> -> b<i>, a<i> -> c<i>,
+// b<i> -> c<i>, plus w1..w12 for later writes. The symbols carry the
+// tenant's index, so a goal naming one prunes to that tenant's shard.
+std::string TenantProgram(int i) {
+  const std::string n = std::to_string(i);
+  std::string program = "object a" + n + " { }. object b" + n +
+                        " { }. object c" + n + " { }. ";
+  for (int w = 1; w <= 12; ++w) {
+    program += "object w" + std::to_string(w) + " { }. ";
+  }
+  return program + "seg(a" + n + ", b" + n + "). seg(a" + n + ", c" + n +
+         "). seg(b" + n + ", c" + n + ").";
+}
+
+constexpr const char* kArchiveRule = "near(X, Y) <- seg(X, Y).";
+
 class ServerTest : public ::testing::Test {
  protected:
+  void TearDown() override {
+    std::error_code ec;
+    for (const std::string& root : archive_roots_) {
+      std::filesystem::remove_all(root, ec);
+    }
+  }
+
+  /// A 2-shard archive under a fresh directory: tenants_[i] routes to shard
+  /// i and holds TenantProgram(i); near/2 is installed archive-wide.
+  std::unique_ptr<ShardedArchive> OpenArchive(const std::string& name) {
+    const std::string root = ::testing::TempDir() + "/server_archive_" +
+                             name + "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(root);
+    archive_roots_.push_back(root);
+    ShardedArchive::Options options;
+    options.shard_count = 2;
+    options.durability = Journal::Durability::kFlush;
+    auto archive = ShardedArchive::Open(root, std::move(options));
+    EXPECT_TRUE(archive.ok()) << archive.status().ToString();
+    if (!archive.ok()) return nullptr;
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      for (int i = 0;; ++i) {
+        tenants_[shard] = "tenant" + std::to_string(i);
+        if ((*archive)->ShardIdFor(tenants_[shard]) == shard) break;
+      }
+      Status applied =
+          (*archive)->Apply(tenants_[shard], TenantProgram(shard));
+      EXPECT_TRUE(applied.ok()) << applied.ToString();
+    }
+    EXPECT_TRUE((*archive)->Apply(tenants_[0], kArchiveRule).ok());
+    return std::move(*archive);
+  }
+
+  std::unique_ptr<Server> StartServer(ShardedArchive* archive,
+                                      ServerOptions options) {
+    auto server = std::make_unique<Server>(archive, std::move(options));
+    Status started = server->Start();
+    EXPECT_TRUE(started.ok()) << started.ToString();
+    return server;
+  }
+
   std::unique_ptr<Server> StartServer(ServerOptions options) {
     auto server = std::make_unique<Server>(&db_, std::move(options));
     Status started = server->Start();
@@ -83,6 +170,8 @@ class ServerTest : public ::testing::Test {
   }
 
   VideoDatabase db_;
+  std::string tenants_[2];
+  std::vector<std::string> archive_roots_;
 };
 
 TEST_F(ServerTest, QueryStatementPingRoundTrip) {
@@ -448,6 +537,287 @@ TEST_F(ServerTest, ArchiveModeServesTenantsAndSurvivesShardKill) {
   EXPECT_EQ(server.stats().admitted_dropped, 0u);
   std::error_code ec;
   std::filesystem::remove_all(root, ec);
+}
+
+TEST_F(ServerTest, ArchiveLookupsCompleteOnTheIoThread) {
+  auto archive = OpenArchive("lookups");
+  ASSERT_NE(archive, nullptr);
+  auto server = StartServer(archive.get(), {});
+  Client client = MakeClient(*server);
+  const uint64_t hits = CounterValue("vqldb_query_cache_hits_total");
+  const uint64_t misses = CounterValue("vqldb_query_cache_misses_total");
+  const uint64_t recorded = RecordedCount("seg(?, $0)");
+
+  // a0 resolves only on shard 0, so each lookup targets that shard alone.
+  auto first = client.Query("?- seg(a0, Y).");    // a miss: a worker answers
+  auto second = client.Query("?- seg(a0, Y).");   // a hit, on the IO thread
+  auto renamed = client.Query("?- seg(a0, Z).");  // the same entry, own header
+  ASSERT_TRUE(first.ok() && second.ok() && renamed.ok());
+  ASSERT_TRUE((*first).ok()) << first->body;
+  ASSERT_TRUE((*second).ok()) << second->body;
+  ASSERT_TRUE((*renamed).ok()) << renamed->body;
+  EXPECT_EQ(first->body, "(2 answers) [Y]\n  b0\n  c0\n");
+  EXPECT_EQ(second->body, first->body);
+  EXPECT_FALSE(second->partial());
+  EXPECT_EQ(renamed->body.rfind("(2 answers) [Z]\n", 0), 0u) << renamed->body;
+  EXPECT_EQ(renamed->body.substr(renamed->body.find('\n')),
+            first->body.substr(first->body.find('\n')));
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.inline_hits, 2u);
+  EXPECT_EQ(CounterValue("vqldb_query_cache_hits_total"), hits + 2);
+  EXPECT_EQ(CounterValue("vqldb_query_cache_misses_total"), misses + 1);
+  EXPECT_EQ(RecordedCount("seg(?, $0)"), recorded + 3);
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
+
+  // The archive itself scatters to the same bytes.
+  auto scattered = archive->Query("?- seg(a0, Y).");
+  ASSERT_TRUE(scattered.ok()) << scattered.status();
+  EXPECT_EQ(scattered->ToString(), first->body);
+}
+
+TEST_F(ServerTest, ArchiveScansMissesAndNonBinaryReadsGoToWorkers) {
+  auto archive = OpenArchive("workers");
+  ASSERT_NE(archive, nullptr);
+  auto server = StartServer(archive.get(), {});
+  Client client = MakeClient(*server);
+
+  const std::string lookup = "?- seg(a0, Y).";
+  ASSERT_TRUE(client.Query(lookup).ok());  // a worker fills shard 0's cache
+  auto warm = client.Query(lookup);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(server->stats().inline_hits, 1u);
+
+  // A write invalidates shard 0's cache: the next lookup goes to a worker
+  // and sees the write; the one after completes inline again.
+  auto write = client.Statement("@tenant:" + tenants_[0] + " seg(a0, w1).");
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE((*write).ok()) << write->body;
+  auto after = client.Query(lookup);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE((*after).ok()) << after->body;
+  EXPECT_EQ(after->body, "(3 answers) [Y]\n  b0\n  c0\n  w1\n");
+  EXPECT_EQ(server->stats().inline_hits, 1u);
+  auto again = client.Query(lookup);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->body, after->body);
+  EXPECT_EQ(server->stats().inline_hits, 2u);
+
+  // A scan merges two shards, even when both hold its answer.
+  for (int ask = 0; ask < 3; ++ask) {
+    auto scan = client.Query("?- seg(X, Y).");
+    ASSERT_TRUE(scan.ok());
+    ASSERT_TRUE((*scan).ok()) << scan->body;
+    EXPECT_EQ(scan->body.rfind("(7 answers) [X, Y]\n", 0), 0u) << scan->body;
+  }
+  // EXPLAIN, system goals and HTTP /query, of goals whose answer is cached.
+  auto explain = client.Query("explain " + lookup);
+  ASSERT_TRUE(explain.ok());
+  ASSERT_TRUE((*explain).ok()) << explain->body;
+  EXPECT_EQ(explain->body.rfind("sharded archive:", 0), 0u) << explain->body;
+  for (int ask = 0; ask < 2; ++ask) {
+    auto sys = client.Query("?- sys_shards(S, St, F, R, D, Rec, E).");
+    ASSERT_TRUE(sys.ok());
+    ASSERT_TRUE((*sys).ok()) << sys->body;
+    EXPECT_EQ(sys->body.rfind("(2 answers)", 0), 0u) << sys->body;
+  }
+  const std::string http = HttpPost(server->port(), "/query", lookup);
+  EXPECT_EQ(http.rfind("HTTP/1.1 200", 0), 0u) << http;
+  EXPECT_EQ(http.substr(http.size() - after->body.size()), after->body)
+      << http;
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.inline_hits, 2u);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
+}
+
+TEST_F(ServerTest, ArchiveReadsGoToWorkersWhileAShardIsDown) {
+  auto archive = OpenArchive("down");
+  ASSERT_NE(archive, nullptr);
+  ServerOptions options;
+  options.enable_admin = true;
+  auto server = StartServer(archive.get(), options);
+  Client client = MakeClient(*server);
+
+  const std::vector<std::string> lookups = {"?- seg(a0, Y).",
+                                            "?- seg(a1, Y)."};
+  std::vector<std::string> complete;
+  for (const std::string& lookup : lookups) {
+    auto miss = client.Query(lookup);
+    auto hit = client.Query(lookup);
+    ASSERT_TRUE(miss.ok() && hit.ok());
+    ASSERT_TRUE((*hit).ok()) << hit->body;
+    EXPECT_EQ(hit->body, miss->body);
+    complete.push_back(hit->body);
+  }
+  EXPECT_EQ(server->stats().inline_hits, 2u);
+
+  // No shard 9: refused, and the request is still answered exactly once.
+  auto no_such = client.Admin("shard kill 9");
+  ASSERT_TRUE(no_such.ok());
+  EXPECT_EQ(no_such->status, StatusCode::kInvalidArgument) << no_such->body;
+  auto killed = client.Admin("shard kill 0");
+  ASSERT_TRUE(killed.ok());
+  ASSERT_TRUE((*killed).ok()) << killed->body;
+  // Every read goes to a worker now, even one whose shard is up and holds
+  // its answer: strict reads fail, partial ones say what is missing.
+  for (const std::string& lookup : lookups) {
+    SCOPED_TRACE(lookup);
+    auto strict = client.Query(lookup);
+    ASSERT_TRUE(strict.ok());
+    EXPECT_EQ(strict->status, StatusCode::kUnavailable) << strict->body;
+    auto partial = client.Query(lookup, 0, /*allow_partial=*/true);
+    ASSERT_TRUE(partial.ok());
+    ASSERT_TRUE((*partial).ok()) << partial->body;
+    EXPECT_TRUE(partial->partial());
+    EXPECT_NE(partial->body.find(" PARTIAL\n"), std::string::npos)
+        << partial->body;
+    EXPECT_NE(partial->body.find("missing shard 0 [failed]"),
+              std::string::npos)
+        << partial->body;
+  }
+  EXPECT_EQ(server->stats().inline_hits, 2u);
+
+  auto recovered = client.Admin("shard recover 0");
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_TRUE((*recovered).ok()) << recovered->body;
+  // Shard 1 kept its cached answer; the recovered shard 0 starts cold.
+  auto healed1 = client.Query(lookups[1]);
+  ASSERT_TRUE(healed1.ok());
+  EXPECT_EQ(healed1->body, complete[1]);
+  EXPECT_EQ(server->stats().inline_hits, 3u);
+  auto cold0 = client.Query(lookups[0]);
+  auto healed0 = client.Query(lookups[0]);
+  ASSERT_TRUE(cold0.ok() && healed0.ok());
+  EXPECT_EQ(cold0->body, complete[0]);
+  EXPECT_EQ(healed0->body, complete[0]);
+  EXPECT_EQ(server->stats().inline_hits, 4u);
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
+}
+
+TEST_F(ServerTest, ArchiveMixedHitsMissesWritesAndRecoveryAgree) {
+  // Write k adds seg(c<k % 2>, wk) to tenant k % 2: one fact, so a write
+  // refused while its shard is down is retried whole.
+  constexpr int kWrites = 12;
+  auto fact = [](int k) {
+    return "seg(c" + std::to_string(k % 2) + ", w" + std::to_string(k) + ").";
+  };
+  const std::vector<std::string> goals = {
+      // hot: lookups of each tenant, asked over and over
+      "?- seg(a0, Y).", "?- near(a1, Y).",
+      // cold: lookups that writes change, and scans
+      "?- seg(c0, Y).", "?- near(c1, Y).", "?- near(X, c1).",
+      "?- seg(X, Y).", "?- near(b0, Y)."};
+  constexpr size_t kHot = 2;
+
+  auto archive = OpenArchive("mixed");
+  ASSERT_NE(archive, nullptr);
+  // expected[k][g]: goal g after the first k writes, from a serial archive.
+  std::vector<std::vector<std::string>> expected;
+  {
+    auto serial = OpenArchive("mixed_serial");
+    ASSERT_NE(serial, nullptr);
+    for (int k = 0; k <= kWrites; ++k) {
+      if (k > 0) {
+        ASSERT_TRUE(serial->Apply(tenants_[k % 2], fact(k)).ok());
+      }
+      std::vector<std::string> answers;
+      for (const std::string& goal : goals) {
+        auto result = serial->Query(goal);
+        ASSERT_TRUE(result.ok()) << result.status();
+        answers.push_back(result->ToString());
+      }
+      expected.push_back(std::move(answers));
+    }
+  }
+
+  ServerOptions options;
+  options.io_threads = 2;
+  options.enable_admin = true;
+  auto server = StartServer(archive.get(), options);
+  std::atomic<int> started{0};  // writes sent
+  std::atomic<int> acked{0};    // writes answered
+  std::atomic<bool> kill_sent{false};
+  std::atomic<bool> recovered{false};
+  std::thread writer([&] {
+    Client client = MakeClient(*server);
+    for (int k = 1; k <= kWrites; ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      started.store(k);
+      for (;;) {
+        auto write =
+            client.Statement("@tenant:" + tenants_[k % 2] + " " + fact(k));
+        ASSERT_TRUE(write.ok()) << write.status().ToString();
+        if ((*write).ok()) break;
+        // Refused whole while the shard is down; retried once it is back.
+        ASSERT_EQ(write->status, StatusCode::kUnavailable) << write->body;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      acked.store(k);
+    }
+  });
+  std::thread operator_thread([&] {
+    Client client = MakeClient(*server);
+    while (acked.load() < 3) std::this_thread::yield();
+    kill_sent.store(true);
+    auto killed = client.Admin("shard kill 0");
+    ASSERT_TRUE(killed.ok() && (*killed).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto back = client.Admin("shard recover 0");
+    ASSERT_TRUE(back.ok() && (*back).ok());
+    recovered.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Client client = MakeClient(*server);
+      for (int i = 0; i < 150 || acked.load() < kWrites || !recovered.load();
+           ++i) {
+        const size_t g =
+            i % 4 == 3 ? kHot + static_cast<size_t>(i / 4 + t) %
+                                    (goals.size() - kHot)
+                       : static_cast<size_t>(i + t) % kHot;
+        // The answer holds every write answered before the read was sent,
+        // and only writes sent before its answer came back.
+        const int lo = acked.load();
+        const bool recovered_before = recovered.load();
+        auto answer = client.Query(goals[g]);
+        const int hi = started.load();
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        if (!(*answer).ok()) {
+          // A strict read fails only while shard 0 is down.
+          EXPECT_EQ(answer->status, StatusCode::kUnavailable) << answer->body;
+          EXPECT_TRUE(kill_sent.load() && !recovered_before) << answer->body;
+          continue;
+        }
+        bool matched = false;
+        for (int k = lo; k <= hi && !matched; ++k) {
+          matched = answer->body == expected[k][g];
+        }
+        EXPECT_TRUE(matched) << goals[g] << " between writes " << lo
+                             << " and " << hi << ":\n" << answer->body;
+      }
+    });
+  }
+  writer.join();
+  operator_thread.join();
+  for (auto& reader : readers) reader.join();
+
+  server->Shutdown();
+  ServerStats stats = server->stats();
+  EXPECT_GT(stats.inline_hits, 0u);
+  EXPECT_LT(stats.inline_hits, stats.admitted);
+  EXPECT_EQ(stats.admitted, stats.admitted_responded);
+  EXPECT_EQ(stats.admitted_dropped, 0u);
 }
 
 TEST_F(ServerTest, CacheHitsCompleteOnTheIoThread) {

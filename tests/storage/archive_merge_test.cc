@@ -7,7 +7,10 @@
 // cells with ' ', ',' and '"', numbers whose text order differs from their
 // numeric order, and shards that hold nothing; each goal is asked twice
 // (shard caches miss, then hit), also with a shard killed under
-// allow_partial (a degraded scatter, shard caches suppressed).
+// allow_partial (a degraded scatter, shard caches suppressed). The
+// cache-only lookup the server answers on its IO thread (CachedQuery) must
+// give Query()'s bytes for every goal pruned to one shard, and nothing
+// otherwise.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 #include "src/storage/shard_store.h"
 
 namespace vqldb {
@@ -215,6 +219,64 @@ class ArchiveMergeTest : public ::testing::Test {
     }
   }
 
+  /// Asks every goal of kGoals and a sys_* goal once through CachedQuery()
+  /// before Query() and once after: nothing before (the shard caches are
+  /// cold), and after, Query()'s result exactly when the goal targets one
+  /// shard that can evaluate it. Returns how many goals it served.
+  static size_t ExpectCachedLookupsMatch(ShardedArchive& archive) {
+    std::vector<std::string> goals(std::begin(kGoals), std::end(kGoals));
+    goals.push_back("?- sys_shards(S, St, F, R, D, Rec, E).");
+    obs::Counter* misses = obs::MetricsRegistry::Global().GetCounter(
+        "vqldb_query_cache_misses_total", "");
+    size_t served = 0;
+    for (const std::string& goal : goals) {
+      SCOPED_TRACE(goal);
+      auto query = Parser::ParseQuery(goal);
+      EXPECT_TRUE(query.ok()) << query.status();
+      if (!query.ok()) continue;
+      const uint64_t misses_before = misses->value();
+      EXPECT_FALSE(archive.CachedQuery(*query).has_value());
+      EXPECT_EQ(misses->value(), misses_before);  // a declined lookup counts
+                                                  // nothing
+      auto got = archive.Query(goal);
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (!got.ok()) continue;
+      // Servable: one shard targeted, the goal not sys_*, and that shard
+      // evaluates it (a relation it never saw is NotFound, never cached).
+      bool servable = got->shards_targeted == 1 &&
+                      goal.find("sys_") == std::string::npos;
+      for (const auto& report : got->reports) {
+        if (!servable || report.pruned) continue;
+        QuerySession probe(archive.shard_db(report.shard_id));
+        probe.set_cache_enabled(false);
+        for (const char* rule : kRules) EXPECT_TRUE(probe.AddRule(rule).ok());
+        servable = probe.Query(goal).ok();
+      }
+      auto cached = archive.CachedQuery(*query);
+      EXPECT_EQ(cached.has_value(), servable) << got->ToString();
+      if (!cached.has_value() || !servable) continue;
+      ++served;
+      EXPECT_EQ(cached->ToString(), got->ToString());
+      EXPECT_EQ(cached->columns, got->columns);
+      EXPECT_EQ(cached->rows(), got->rows());
+      EXPECT_FALSE(cached->partial);
+      EXPECT_EQ(cached->shards_targeted, 1u);
+      EXPECT_EQ(cached->shards_answered, got->shards_answered);
+      EXPECT_EQ(cached->shards_pruned, got->shards_pruned);
+      EXPECT_EQ(cached->reports.size(), got->reports.size());
+      for (size_t i = 0; i < got->reports.size() &&
+                         i < cached->reports.size();
+           ++i) {
+        EXPECT_EQ(cached->reports[i].shard_id, got->reports[i].shard_id);
+        EXPECT_EQ(cached->reports[i].state, got->reports[i].state);
+        EXPECT_EQ(cached->reports[i].pruned, got->reports[i].pruned);
+        EXPECT_EQ(cached->reports[i].answered, got->reports[i].answered);
+        EXPECT_EQ(cached->reports[i].rows, got->reports[i].rows);
+      }
+    }
+    return served;
+  }
+
   std::string root_;
 };
 
@@ -283,6 +345,68 @@ TEST_F(ArchiveMergeTest, RowsOrderByCellsNotByJoinedLines) {
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got->ToString(), want) << "ask " << ask;
   }
+}
+
+TEST_F(ArchiveMergeTest, CachedLookupsMatchTheScatterOnOneShardGoals) {
+  size_t served = 0;
+  size_t declined = 0;
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    for (uint32_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", seed " +
+                   std::to_string(seed));
+      std::filesystem::remove_all(root_);
+      auto archive = ShardedArchive::Open(root_, Options(shards));
+      ASSERT_TRUE(archive.ok()) << archive.status();
+      ShardedArchive& a = **archive;
+      Populate(a, seed * 101 + static_cast<uint32_t>(shards));
+      const size_t n = ExpectCachedLookupsMatch(a);
+      served += n;
+      declined += std::size(kGoals) + 1 - n;
+      // Every goal is cached where it can be now, but while any shard is
+      // down the lookup serves nothing: a worker answers, strictly or
+      // PARTIAL.
+      a.KillShard(static_cast<uint32_t>(shards) - 1);
+      for (const char* goal : kGoals) {
+        auto query = Parser::ParseQuery(goal);
+        ASSERT_TRUE(query.ok());
+        EXPECT_FALSE(a.CachedQuery(*query).has_value()) << goal;
+      }
+    }
+  }
+  // Both outcomes occur: one-shard lookups, and scans, misses and sys_*.
+  EXPECT_GT(served, 20u);
+  EXPECT_GT(declined, 20u);
+}
+
+TEST_F(ArchiveMergeTest, CachedLookupServesTheMergeOrder) {
+  // k1 resolves only on shard 1, whose rows were created a, z, a!, x,
+  // a b, y: their value order (a, a!, a b) is not their cell order
+  // (a, a b, a!), which is the order Query() merges into.
+  auto archive = ShardedArchive::Open(root_, Options(2));
+  ASSERT_TRUE(archive.ok()) << archive.status();
+  ShardedArchive& a = **archive;
+  VideoDatabase* db = a.shard_db(1);
+  for (const std::vector<std::string>& row :
+       std::vector<std::vector<std::string>>{
+           {"k1", "a", "z"}, {"k1", "a!", "x"}, {"k1", "a b", "y"}}) {
+    std::vector<Value> args;
+    for (const std::string& symbol : row) {
+      auto id = db->Resolve(symbol);
+      args.push_back(Value::Oid(id.ok() ? *id : *db->CreateEntity(symbol)));
+    }
+    ASSERT_TRUE(db->AssertFact("rel", args).ok());
+  }
+  const std::string want = "(3 answers) [X, Y]\n  a, z\n  a b, y\n  a!, x\n";
+  auto query = Parser::ParseQuery("?- rel(k1, X, Y).");
+  ASSERT_TRUE(query.ok()) << query.status();
+  EXPECT_FALSE(a.CachedQuery(*query).has_value());
+  auto got = a.Query(*query, {});
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->ToString(), want);
+  EXPECT_EQ(got->shards_pruned, 1u);
+  auto cached = a.CachedQuery(*query);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->ToString(), want);
 }
 
 TEST_F(ArchiveMergeTest, SystemGoalsBypassShardCachesAndStillMerge) {

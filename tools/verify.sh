@@ -52,6 +52,12 @@
 #    validates the live /healthz schema and that /metrics?dump= serves bytes
 #    identical to the file it writes; SIGTERM must drain with
 #    "dropped=0" in the ledger line and flush the --metrics-out snapshot.
+#    Then the archive server smoke: a 2-shard archive populated with
+#    `vql --archive` is served by `vqlsrv --archive=`, the rule is installed
+#    over the wire, four concurrent clients each ask one tenant's lookup
+#    twice and must get `vql --archive`'s local answer byte for byte,
+#    /metrics must count IO-thread answers (vqldb_server_inline_hits_total
+#    > 0), and SIGTERM must drain with "dropped=0".
 #    Then tools/server_chaos runs at smoke scale (the full 10k-connection /
 #    250-iteration run writes BENCH_server.json out-of-band).
 # 7. Configure + build with -DVQLDB_SANITIZE=address and run the governance,
@@ -63,15 +69,16 @@
 # 8. Configure + build with -DVQLDB_SANITIZE=thread and run the fixpoint
 #    determinism test, the thread-pool tests, the admission-gate stress
 #    test, the dictionary/columnar tests (lock-free Get, concurrent
-#    interning, parallel seal digests), the shard-store test (parallel
-#    per-shard recovery, scatter-gather over live shards), the
+#    interning, parallel seal digests), the shard-store and archive-merge
+#    tests (parallel per-shard recovery, concurrent scatters, writes and
+#    kill/recover with no archive-wide lock, cache-only lookups), the
 #    strategy-equivalence property suite's parallel mode, the
 #    differential oracle's 8-thread cases (parallel rule tasks read the
 #    database's temporal index, including over intervals added since the
 #    previous query), and the server, snapshot and query-cache tests (every
 #    session of a generation reads one database copy and one answer cache,
 #    and the IO threads answer cached reads from them too) under TSan. CI's
-#    `tsan` job runs that server section.
+#    `tsan` job runs that server section and the two archive tests.
 # 9. Configure + build with -DVQLDB_SANITIZE=undefined and run the QSQR,
 #    differential-oracle, strategy and magic-set property, answer-cache,
 #    rendered-answer and parser-fuzz tests under UBSan with
@@ -340,6 +347,73 @@ grep -q "drain complete: .*dropped=0" "$OBS_TMP/server.out" \
 ./build/tools/obs_check metrics "$OBS_TMP/server_metrics.json" \
     --require=vqldb_server_requests_total \
     --require=vqldb_server_admitted_dropped_total
+
+echo "== archive server smoke: vqlsrv --archive, cached lookups on the IO thread =="
+./build/tools/vql --archive="$OBS_TMP/srvarc" --archive-shards=2 \
+    >/dev/null 2>&1 <<'EOF'
+.tenant alice
+object a1 { }.
+object a2 { }.
+object a3 { }.
+seg(a1, a2).
+seg(a1, a3).
+.tenant bob
+object b1 { }.
+object b2 { }.
+seg(b1, b2).
+.quit
+EOF
+# Rules are not journaled: each process installs its own. The local
+# answers drop the rule's "ok" line.
+LOOKUPS=("?- near(a1, Y)." "?- near(b1, Y).")
+for g in 0 1; do
+  printf 'near(X, Y) <- seg(X, Y).\n%s\n.quit\n' "${LOOKUPS[$g]}" \
+    | ./build/tools/vql --archive="$OBS_TMP/srvarc" 2>/dev/null \
+    | tail -n +2 > "$OBS_TMP/archive_local$g.out"
+  grep -q "^([0-9]* answers\?)" "$OBS_TMP/archive_local$g.out" \
+    || { echo "local archive lookup ${LOOKUPS[$g]} failed"; exit 1; }
+done
+./build/tools/vqlsrv --archive="$OBS_TMP/srvarc" --admin \
+    >"$OBS_TMP/archive_server.out" 2>&1 &
+ARC_PID=$!
+ARC_PORT=""
+for i in $(seq 1 50); do
+  ARC_PORT="$(sed -n 's/.*listening on 127.0.0.1://p' "$OBS_TMP/archive_server.out")"
+  [ -n "$ARC_PORT" ] && break
+  sleep 0.1
+done
+[ -n "$ARC_PORT" ] || { echo "vqlsrv --archive did not report a port"; exit 1; }
+printf 'near(X, Y) <- seg(X, Y).\n.quit\n' \
+  | ./build/tools/vql --connect="127.0.0.1:$ARC_PORT" \
+    >"$OBS_TMP/archive_rule.out" 2>/dev/null
+grep -q "^ok" "$OBS_TMP/archive_rule.out" \
+  || { echo "rule install over the wire failed"; exit 1; }
+# Four concurrent clients each ask one tenant's lookup twice: the first ask
+# of each goal fills its shard's cache on a worker, the repeats are
+# answered on the IO thread, and every answer is the local one.
+ARC_CLIENTS=()
+for c in 1 2 3 4; do
+  printf '%s\n%s\n.quit\n' "${LOOKUPS[$((c % 2))]}" "${LOOKUPS[$((c % 2))]}" \
+    | ./build/tools/vql --connect="127.0.0.1:$ARC_PORT" 2>/dev/null \
+    > "$OBS_TMP/archive_client$c.out" &
+  ARC_CLIENTS+=($!)
+done
+wait "${ARC_CLIENTS[@]}"
+for c in 1 2 3 4; do
+  cat "$OBS_TMP/archive_local$((c % 2)).out" "$OBS_TMP/archive_local$((c % 2)).out" \
+    | diff - "$OBS_TMP/archive_client$c.out" \
+    || { echo "archive client $c answers differ from vql --archive"; exit 1; }
+done
+exec 3<>"/dev/tcp/127.0.0.1/$ARC_PORT"
+printf 'GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n' >&3
+ARC_INLINE="$(sed -n 's/^vqldb_server_inline_hits_total \([0-9]*\).*/\1/p' <&3)"
+exec 3<&-
+[ "${ARC_INLINE:-0}" -gt 0 ] \
+  || { echo "no archive lookup was answered on the IO thread"; exit 1; }
+kill -TERM "$ARC_PID"
+wait "$ARC_PID" || { echo "vqlsrv --archive did not exit 0 after SIGTERM"; exit 1; }
+grep -q "drain complete: .*dropped=0" "$OBS_TMP/archive_server.out" \
+  || { echo "archive drain dropped admitted requests"; cat "$OBS_TMP/archive_server.out"; exit 1; }
 
 echo "== server chaos (smoke scale): 300 connections, 40 iterations =="
 ./build/tools/server_chaos --connections=300 --iterations=40 --seed=11 \
