@@ -7,11 +7,21 @@
 // multi-core hosts the wall-clock series must also beat the single-journal
 // replay. Writes the series as BENCH_shard_recovery.json next to the
 // binary for trajectory tracking.
+//
+// Then scan merges: a 4-shard archive answers one scan from its shard
+// caches (every shard hits), so a scan's time is its merge of the shard
+// answers plus rendering the response. Two shapes bound the merge: tenants
+// with their own symbols (partitioned), whose shard answers merge as long
+// runs, and tenants that all declare the same symbols (interleaved), whose
+// rows alternate shard by shard and repeat on every shard, the worst case
+// for merging whole blocks. The series uses only ShardedArchive::Query, so
+// this file also builds against older archives for a before/after table.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -206,6 +216,100 @@ void PrintSeries() {
   }
 }
 
+// ------------------------------------------------------------ scan merges
+
+constexpr size_t kScanShards = 4;
+constexpr size_t kScanObjects = 3000;  // per tenant, one tenant per shard
+
+/// A 4-shard archive with one tenant per shard, each declaring
+/// kScanObjects objects and one seen/2 fact per object: symbols prefixed by
+/// the tenant, or (when `interleaved`) the same symbols for every tenant.
+/// The scan's shard caches are warm on return.
+std::unique_ptr<ShardedArchive> ScanArchive(const std::string& root,
+                                            bool interleaved) {
+  std::filesystem::remove_all(root);
+  auto archive = ShardedArchive::Open(root, BenchOptions(kScanShards, false));
+  VQLDB_CHECK_OK(archive.status());
+  for (uint32_t shard = 0; shard < kScanShards; ++shard) {
+    std::string tenant;
+    for (int i = 0; tenant.empty(); ++i) {
+      const std::string candidate = "tenant" + std::to_string(i);
+      if ((*archive)->ShardIdFor(candidate) == shard) tenant = candidate;
+    }
+    const std::string prefix =
+        interleaved ? "o" : "t" + std::to_string(shard) + "_o";
+    std::string program;
+    for (size_t i = 0; i < kScanObjects; ++i) {
+      program += "object " + prefix + std::to_string(i) + " { }. ";
+    }
+    VQLDB_CHECK_OK((*archive)->Apply(tenant, program));
+    program.clear();
+    for (size_t i = 0; i < kScanObjects; ++i) {
+      program += "seen(" + prefix + std::to_string(i) + ", " +
+                 std::to_string(i % 97) + "). ";
+    }
+    VQLDB_CHECK_OK((*archive)->Apply(tenant, program));
+  }
+  VQLDB_CHECK_OK((*archive)->Query("?- seen(O, N).").status());
+  return std::move(*archive);
+}
+
+/// One cached scan, merged and rendered as the server sends it.
+size_t ScanOnce(ShardedArchive& archive) {
+  auto result = archive.Query("?- seen(O, N).");
+  VQLDB_CHECK_OK(result.status());
+  return result->ToString().size();
+}
+
+void PrintScanMergeSeries() {
+  std::printf("== scan merge: %zu shards of %zu objects, every shard "
+              "cached; median of 15 batches of 20 scans ==\n",
+              kScanShards, kScanObjects);
+  std::printf("%-14s %-10s %-12s %-14s\n", "shape", "rows", "body (KB)",
+              "scan (us)");
+  for (bool interleaved : {false, true}) {
+    const std::string root = (std::filesystem::temp_directory_path() /
+                              (interleaved ? "bench_scan_merge_interleaved"
+                                           : "bench_scan_merge_partitioned"))
+                                 .string();
+    std::unique_ptr<ShardedArchive> archive = ScanArchive(root, interleaved);
+    auto answer = archive->Query("?- seen(O, N).");
+    VQLDB_CHECK_OK(answer.status());
+    std::vector<double> batches;
+    for (int batch = 0; batch < 15; ++batch) {
+      const auto begin = std::chrono::steady_clock::now();
+      size_t bytes = 0;
+      for (int i = 0; i < 20; ++i) bytes += ScanOnce(*archive);
+      benchmark::DoNotOptimize(bytes);
+      batches.push_back(std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count() /
+                        20);
+    }
+    std::sort(batches.begin(), batches.end());
+    std::printf("%-14s %-10zu %-12.1f %-14.1f\n",
+                interleaved ? "interleaved" : "partitioned", answer->size(),
+                static_cast<double>(answer->ToString().size()) / 1024,
+                batches[batches.size() / 2]);
+    archive.reset();
+    std::filesystem::remove_all(root);
+  }
+  std::printf("\n");
+}
+
+void BM_ScanMerge(benchmark::State& state) {
+  const bool interleaved = state.range(0) != 0;
+  const std::string root = (std::filesystem::temp_directory_path() /
+                            "bench_scan_merge_bm")
+                               .string();
+  std::unique_ptr<ShardedArchive> archive = ScanArchive(root, interleaved);
+  for (auto _ : state) benchmark::DoNotOptimize(ScanOnce(*archive));
+  archive.reset();
+  std::filesystem::remove_all(root);
+  state.SetLabel(interleaved ? "interleaved" : "partitioned");
+}
+BENCHMARK(BM_ScanMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_ShardRecovery(benchmark::State& state) {
   auto statements = Workload();
   size_t shards = static_cast<size_t>(state.range(0));
@@ -237,6 +341,7 @@ BENCHMARK(BM_ShardRecovery)->Arg(1)->Arg(4)->Arg(8)
 
 int main(int argc, char** argv) {
   vqldb::PrintSeries();
+  vqldb::PrintScanMergeSeries();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -15,10 +15,10 @@
 // when goal direction declines. All three produce identical answer sets.
 //
 // Answers come back two ways. Run() and Query() return values, decoded from
-// the cache on a hit. RunRendered() and QueryRendered() return text for
-// callers that serve it (the server, the sharded archive): every cache
-// entry carries its rows rendered once, when stored, so a hit is a copy of
-// that rendering with no decode, and a miss renders once, into the cache.
+// the cache on a hit. QueryRendered() (the server) and RunRendered() (the
+// sharded archive, in merge order) return text: every cache entry carries
+// its rows rendered once, in its key's order, when stored, so a hit decodes
+// nothing, and a miss renders once, into the cache.
 
 #ifndef VQLDB_ENGINE_QUERY_H_
 #define VQLDB_ENGINE_QUERY_H_
@@ -45,6 +45,10 @@
 #include "src/model/database.h"
 
 namespace vqldb {
+
+/// Columns of `query`'s distinct variables in first-occurrence order: the
+/// layout of every answer to it, on every execution path and shard.
+std::vector<std::string> GoalColumns(const struct Query& query);
 
 /// The answer set of a query: one column per distinct variable of the goal
 /// (in first-occurrence order), rows deduplicated and sorted.
@@ -123,19 +127,19 @@ class QuerySession {
   /// not evaluate (the server's IO thread).
   std::optional<std::string> CachedRendered(const struct Query& query,
                                             uint64_t parse_us = 0);
-  /// Run() whose answer comes back rendered, with its MergeOrder() built:
-  /// what the archive scatter merges. A hit returns the cache entry's
-  /// rendering and builds its merge order at most once, charged to the
-  /// entry; a miss renders and sorts the computed rows once, into the cache
-  /// when the goal is cacheable.
-  Result<std::shared_ptr<const RenderedAnswer>> RunRendered(
+  /// Run() whose answer comes back rendered in merge order
+  /// (RowOrder::kCells): what the archive scatter merges. A hit returns the
+  /// merge-ordered cache entry's rows themselves; a miss renders the
+  /// computed rows once, in merge order, into the cache when the goal is
+  /// cacheable.
+  Result<std::shared_ptr<const RenderedRows>> RunRendered(
       const struct Query& query);
   /// RunRendered() answered from the cache alone, as CachedRendered() is
-  /// QueryRendered(): the same answer on a hit, counted and recorded as
+  /// QueryRendered(): the same rows on a hit, counted and recorded as
   /// RunRendered() counts and records one; null when the answer is not
   /// cached or the goal is not cacheable, having evaluated, counted and
   /// recorded nothing. For the archive's lookup on the server's IO thread.
-  std::shared_ptr<const RenderedAnswer> CachedRunRendered(
+  std::shared_ptr<const RenderedRows> CachedRunRendered(
       const struct Query& query);
 
   /// EXPLAIN: names the strategy Run() would execute and why, then renders
@@ -272,8 +276,8 @@ class QuerySession {
   /// Which form of the answer an execution hands back.
   enum class Render {
     kNone,        // decoded rows only (Run)
-    kRows,        // the rendering too; a hit decodes nothing
-    kMergeOrder,  // the rendering with its merge order built
+    kRows,        // the value-ordered rendering too; a hit decodes nothing
+    kMergeOrder,  // the merge-ordered rendering only
     kCachedRows,  // kRows from the cache alone: a miss returns no rendering
     kCachedMergeOrder,  // kMergeOrder from the cache alone
   };
@@ -285,7 +289,7 @@ class QuerySession {
   /// rendered call hit the cache, and the rendering when asked for.
   struct Outcome {
     QueryResult result;
-    std::shared_ptr<const RenderedAnswer> rendered;
+    std::shared_ptr<const RenderedRows> rendered;
   };
 
   /// The shared body of Run(), RunRendered() and QueryRendered(): holds the
@@ -326,13 +330,12 @@ class QuerySession {
   /// reservations; returns the bytes freed (the shed-before-fail path).
   size_t ShedCaches();
 
-  /// nullopt when the goal cannot be keyed (unresolvable symbol or a
-  /// constructive term) — evaluation then reports the actual error.
-  std::optional<QueryCache::Key> MakeCacheKey(const struct Query& query) const;
+  /// The key of `query`'s entry in `order`; nullopt when the goal cannot
+  /// be keyed (unresolvable symbol or a constructive term) — evaluation
+  /// then reports the actual error.
+  std::optional<QueryCache::Key> MakeCacheKey(const struct Query& query,
+                                              RowOrder order) const;
   uint64_t OptionsFingerprint() const;
-  /// Columns of `query`'s distinct variables in first-occurrence order —
-  /// the layout every execution path produces for rows of a shared shape.
-  static std::vector<std::string> ColumnsOf(const struct Query& query);
 
   VideoDatabase* db_;
   EvalOptions options_;

@@ -84,14 +84,33 @@ void AppendAnswerRows(const std::vector<std::vector<Value>>& rows,
 // ------------------------------------------------------------ RenderedRows
 
 RenderedRows::RenderedRows(const std::vector<std::vector<Value>>& rows,
-                           size_t columns, const VideoDatabase* db)
+                           size_t columns, const VideoDatabase* db,
+                           RowOrder order)
     : rows_(rows.size()), columns_(columns) {
   cell_starts_.reserve(rows.size() * columns);
   text_.reserve(rows.size() * (3 + columns * 10));
   AppendAnswerRows(rows, db, &text_, &cell_starts_);
   VQLDB_DCHECK(cell_starts_.size() == rows_ * columns_);
+  if (order == RowOrder::kCells) SortByCells();
   // Held for as long as its answer is cached: keep no slack.
   text_.shrink_to_fit();
+}
+
+void RenderedRows::SortByCells() {
+  std::vector<uint32_t> order(rows_);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRows(*this, a, *this, b) < 0;
+  });
+  RenderedRows sorted(columns_);
+  sorted.Reserve(text_.size(), rows_);
+  for (uint32_t row : order) {
+    if (sorted.rows_ == 0 ||
+        CompareRows(*this, row, sorted, sorted.rows_ - 1) != 0) {
+      sorted.AppendRows(*this, row, row + 1);
+    }
+  }
+  *this = std::move(sorted);
 }
 
 size_t RenderedRows::LineStart(size_t row) const {
@@ -121,16 +140,20 @@ int RenderedRows::CompareRows(const RenderedRows& x, size_t a,
   return 0;
 }
 
-void RenderedRows::AppendRow(const RenderedRows& src, size_t row) {
-  VQLDB_DCHECK(src.columns_ == columns_);
-  const size_t from = src.LineStart(row);
-  const size_t shift = text_.size() - from;
-  text_.append(src.text_, from, src.LineEnd(row) - from);
-  for (size_t c = 0; c < columns_; ++c) {
-    cell_starts_.push_back(static_cast<uint32_t>(
-        src.cell_starts_[row * columns_ + c] + shift));
+void RenderedRows::AppendRows(const RenderedRows& src, size_t begin,
+                              size_t end) {
+  VQLDB_DCHECK(src.columns_ == columns_ && begin <= end && end <= src.rows_);
+  if (begin == end) return;
+  // A cell at offset `start` of `src` lands at to + (start - from).
+  const size_t from = src.LineStart(begin);
+  const size_t to = text_.size();
+  text_.append(src.text_, from, src.LineEnd(end - 1) - from);
+  VQLDB_DCHECK(text_.size() <= UINT32_MAX);
+  for (size_t i = begin * columns_; i < end * columns_; ++i) {
+    cell_starts_.push_back(
+        static_cast<uint32_t>(to + (src.cell_starts_[i] - from)));
   }
-  ++rows_;
+  rows_ += end - begin;
 }
 
 void RenderedRows::Reserve(size_t bytes, size_t rows) {
@@ -142,24 +165,13 @@ size_t RenderedRows::bytes() const {
   return text_.capacity() + cell_starts_.capacity() * sizeof(uint32_t);
 }
 
-const std::vector<uint32_t>& RenderedAnswer::MergeOrder(bool* built) const {
-  std::call_once(order_once_, [&] {
-    order_.resize(rows_.rows());
-    std::iota(order_.begin(), order_.end(), 0u);
-    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-      return RenderedRows::CompareRows(rows_, a, rows_, b) < 0;
-    });
-    if (built != nullptr) *built = true;
-  });
-  return order_;
-}
-
 // -------------------------------------------------------------- QueryCache
 
 bool QueryCache::Key::operator==(const Key& o) const {
   return db_epoch == o.db_epoch && rules_epoch == o.rules_epoch &&
-         options_fp == o.options_fp && predicate == o.predicate &&
-         pattern == o.pattern && bound_values == o.bound_values;
+         options_fp == o.options_fp && order == o.order &&
+         predicate == o.predicate && pattern == o.pattern &&
+         bound_values == o.bound_values;
 }
 
 size_t QueryCache::KeyHash::operator()(const Key& k) const {
@@ -168,11 +180,13 @@ size_t QueryCache::KeyHash::operator()(const Key& k) const {
   HashCombine(&seed, static_cast<size_t>(k.db_epoch));
   HashCombine(&seed, static_cast<size_t>(k.rules_epoch));
   HashCombine(&seed, static_cast<size_t>(k.options_fp));
+  HashCombine(&seed, static_cast<size_t>(k.order));
   for (const Value& v : k.bound_values) HashCombineValue(&seed, v);
   return seed;
 }
 
 bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
+  VQLDB_DCHECK(key.order == RowOrder::kValue);
   std::shared_ptr<const Answer> answer;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -187,8 +201,8 @@ bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
   }
   TermDict& dict = TermDict::Global();
   rows->clear();
-  const size_t row_count = answer->rendered.rows().rows();
-  const size_t column_count = answer->rendered.rows().columns();
+  const size_t row_count = answer->rendered.rows();
+  const size_t column_count = answer->rendered.columns();
   rows->reserve(row_count);
   const uint32_t* id = answer->ids.data();
   for (size_t r = 0; r < row_count; ++r) {
@@ -202,8 +216,8 @@ bool QueryCache::Lookup(const Key& key, std::vector<std::vector<Value>>* rows) {
   return true;
 }
 
-std::shared_ptr<const RenderedAnswer> QueryCache::LookupRendered(
-    const Key& key, bool merge_order, bool count_miss) {
+std::shared_ptr<const RenderedRows> QueryCache::LookupRendered(
+    const Key& key, bool count_miss) {
   std::shared_ptr<const Answer> answer;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -216,48 +230,44 @@ std::shared_ptr<const RenderedAnswer> QueryCache::LookupRendered(
     lru_.splice(lru_.end(), lru_, it->second.lru_it);
     answer = it->second.answer;
   }
-  if (merge_order) {
-    bool built = false;
-    answer->rendered.MergeOrder(&built);
-    if (built) {
-      ChargeEntry(key, answer.get(), answer->rendered.merge_order_bytes());
-    }
-  }
   return RenderedOf(std::move(answer));
 }
 
-bool QueryCache::Contains(const Key& key) const {
+bool QueryCache::Contains(Key key) const {
   std::lock_guard<std::mutex> lock(mu_);
+  key.order = RowOrder::kValue;
+  if (entries_.count(key) > 0) return true;
+  key.order = RowOrder::kCells;
   return entries_.count(key) > 0;
 }
 
-std::shared_ptr<const RenderedAnswer> QueryCache::Store(
+std::shared_ptr<const RenderedRows> QueryCache::Store(
     Key key, const std::vector<std::vector<Value>>& rows, size_t column_count,
-    const VideoDatabase* db, bool merge_order) {
+    const VideoDatabase* db) {
   // Render once, from the rows just computed, with the storing session's
   // database: the key's epochs pin the symbols the oids print by.
-  auto answer =
-      std::make_shared<Answer>(RenderedRows(rows, column_count, db));
-  if (merge_order) answer->rendered.MergeOrder();
-  // Dictionary-encode the answer: 4 bytes per cell plus whatever the
-  // dictionary grew by interning values this cache was first to see. Values
-  // flowing out of a fixpoint are already interned, so the amortization term
-  // is usually zero; charging it here keeps the accounting exact either way.
-  TermDict& dict = TermDict::Global();
-  answer->ids.reserve(rows.size() * column_count);
+  auto answer = std::make_shared<Answer>(
+      RenderedRows(rows, column_count, db, key.order));
   size_t dict_added = 0;
-  for (const auto& row : rows) {
-    for (const Value& v : row) {
-      TermDict::Interned in = dict.Intern(v);
-      answer->ids.push_back(in.id);
-      dict_added += in.added_bytes;
+  if (key.order == RowOrder::kValue) {
+    // Dictionary-encode the answer for Lookup(): 4 bytes per cell plus
+    // whatever the dictionary grew by interning values this cache was first
+    // to see. Values flowing out of a fixpoint are already interned, so the
+    // amortization term is usually zero; charging it here keeps the
+    // accounting exact either way.
+    TermDict& dict = TermDict::Global();
+    answer->ids.reserve(rows.size() * column_count);
+    for (const auto& row : rows) {
+      for (const Value& v : row) {
+        TermDict::Interned in = dict.Intern(v);
+        answer->ids.push_back(in.id);
+        dict_added += in.added_bytes;
+      }
     }
   }
-  const size_t bytes =
-      sizeof(Entry) + sizeof(Answer) +
-      answer->ids.size() * sizeof(uint32_t) + dict_added +
-      answer->rendered.rows().bytes() +
-      (merge_order ? answer->rendered.merge_order_bytes() : 0);
+  const size_t bytes = sizeof(Entry) + sizeof(Answer) +
+                       answer->ids.size() * sizeof(uint32_t) + dict_added +
+                       answer->rendered.bytes();
 
   std::lock_guard<std::mutex> lock(mu_);
   // A racing identical store keeps the first; an answer larger than the
@@ -283,24 +293,10 @@ std::shared_ptr<const RenderedAnswer> QueryCache::Store(
   return RenderedOf(std::move(answer));
 }
 
-std::shared_ptr<const RenderedAnswer> QueryCache::RenderedOf(
+std::shared_ptr<const RenderedRows> QueryCache::RenderedOf(
     std::shared_ptr<const Answer> answer) {
-  const RenderedAnswer* rendered = &answer->rendered;
-  return std::shared_ptr<const RenderedAnswer>(std::move(answer), rendered);
-}
-
-void QueryCache::ChargeEntry(const Key& key, const Answer* answer,
-                             size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  // Evicted, or replaced by another store, since the caller looked it up:
-  // the bytes belong to no entry.
-  if (it == entries_.end() || it->second.answer.get() != answer) return;
-  it->second.bytes += bytes;
-  bytes_ += bytes;
-  if (governor_ != nullptr) governor_->ChargeBytes(bytes);
-  // The entry was just used, so it is the last to go.
-  while (bytes_ > max_bytes_ && !lru_.empty()) EvictLocked(lru_.begin());
+  const RenderedRows* rendered = &answer->rendered;
+  return std::shared_ptr<const RenderedRows>(std::move(answer), rendered);
 }
 
 void QueryCache::EvictLocked(std::list<Key>::iterator it) {

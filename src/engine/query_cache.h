@@ -2,28 +2,29 @@
 //
 // An answer is keyed on the goal's shape with variables canonicalized by
 // first occurrence ("?- p(a, X, X)" and "?- p(a, Y, Y)" share an entry), its
-// resolved bound values, and the database epoch, rules epoch and options
+// resolved bound values, the database epoch, rules epoch and options
 // fingerprint it depends on, so an entry can never outlive the state it was
-// computed against. Each answer is stored twice over: dictionary-encoded,
-// which Run() decodes back into values, and rendered, one line per row
-// exactly as QueryResult::ToString prints it, which the rendered read paths
-// serve without decoding (QuerySession::QueryRendered, the archive
-// scatter). The rendering is made once, when the answer is stored, with the
-// storing session's database; an entry's order by rendered cell tuple (the
-// archive's merge order) is built at most once, on first request. Entries
-// are bounded twice: a byte budget (16 MiB by default) evicts
-// least-recently-used entries first, and a 256-entry cap is the secondary
-// bound. An entry's bytes count its ids, its rendering and, once built, its
-// merge order; retained bytes are charged to the installed governor, if
+// computed against, and the order its rows are rendered in. Each entry
+// holds its rows rendered once, when stored, with the storing session's
+// database: one line per row, as QueryResult::ToString prints them. A
+// value-ordered entry (RowOrder::kValue) keeps the evaluation's row order
+// and the rows' dictionary ids too, which Run() decodes back into values;
+// the rendered read paths serve its text without decoding
+// (QuerySession::QueryRendered). A merge-ordered entry (RowOrder::kCells)
+// is what the archive scatter merges: its rows in cell-tuple order with
+// adjacent equal rows dropped, and no ids, since nothing decodes it. The
+// two kinds never share an entry. Entries are bounded twice: a byte budget
+// (16 MiB by default) evicts least-recently-used entries first, and a
+// 256-entry cap is the secondary bound. An entry's bytes count its ids and
+// its rendering; retained bytes are charged to the installed governor, if
 // any, until evicted.
 //
 // Thread-safe: one internal mutex guards the entries, so the sessions over
 // one database may share a cache; the snapshot layer shares one per
-// generation (src/server/snapshot.h). A stored answer is immutable apart
-// from its one-time merge-order build, which is safe under concurrent
-// readers, so readers use it outside the lock. The rules epoch in the key
-// is a per-session counter, so sessions that share a cache must hold the
-// same rules, added in the same order.
+// generation (src/server/snapshot.h). A stored answer is immutable, so
+// readers share it outside the lock. The rules epoch in the key is a
+// per-session counter, so sessions that share a cache must hold the same
+// rules, added in the same order.
 
 #ifndef VQLDB_ENGINE_QUERY_CACHE_H_
 #define VQLDB_ENGINE_QUERY_CACHE_H_
@@ -54,6 +55,12 @@ void AppendAnswerRows(const std::vector<std::vector<Value>>& rows,
                       const VideoDatabase* db, std::string* out,
                       std::vector<uint32_t>* cell_starts = nullptr);
 
+/// The order rendered rows are kept in.
+enum class RowOrder : uint8_t {
+  kValue,  // as evaluated: by value, as QueryResult::ToString prints them
+  kCells,  // merge order: by cell tuple, adjacent equal rows dropped
+};
+
 /// Answer rows rendered into one buffer, one line per row: two spaces, the
 /// cells joined by ", ", a newline. Oids print by their symbol in `db` when
 /// bound; every other value prints by Value::ToString(). Cell offsets are
@@ -61,12 +68,12 @@ void AppendAnswerRows(const std::vector<std::vector<Value>>& rows,
 class RenderedRows {
  public:
   RenderedRows() = default;
-  /// No rows yet, of `columns` cells each (AppendRow fills it).
+  /// No rows yet, of `columns` cells each (AppendRows fills it).
   explicit RenderedRows(size_t columns) : columns_(columns) {}
-  /// Renders `rows`, each of `columns` values; a null `db` prints oids by
-  /// Value::ToString().
+  /// Renders `rows`, each of `columns` values, in `order`; a null `db`
+  /// prints oids by Value::ToString().
   RenderedRows(const std::vector<std::vector<Value>>& rows, size_t columns,
-               const VideoDatabase* db);
+               const VideoDatabase* db, RowOrder order = RowOrder::kValue);
 
   size_t rows() const { return rows_; }
   size_t columns() const { return columns_; }
@@ -80,8 +87,9 @@ class RenderedRows {
   static int CompareRows(const RenderedRows& x, size_t a,
                          const RenderedRows& y, size_t b);
 
-  /// Appends row `row` of `src` (same column count).
-  void AppendRow(const RenderedRows& src, size_t row);
+  /// Appends rows [begin, end) of `src` (same column count) as one byte
+  /// range, shifting their cell offsets.
+  void AppendRows(const RenderedRows& src, size_t begin, size_t end);
   /// Reserves room for `bytes` of text and `rows` more rows.
   void Reserve(size_t bytes, size_t rows);
 
@@ -91,36 +99,13 @@ class RenderedRows {
  private:
   size_t LineStart(size_t row) const;
   size_t LineEnd(size_t row) const;
+  /// Puts the rows in RowOrder::kCells.
+  void SortByCells();
 
   std::string text_;
   std::vector<uint32_t> cell_starts_;  // row-major, one per cell
   size_t rows_ = 0;
   size_t columns_ = 0;
-};
-
-/// A rendered answer as readers share it: its rows and, built on first
-/// request, their merge order. Immutable apart from that one-time build.
-class RenderedAnswer {
- public:
-  explicit RenderedAnswer(RenderedRows rows) : rows_(std::move(rows)) {}
-  RenderedAnswer(const RenderedAnswer&) = delete;
-  RenderedAnswer& operator=(const RenderedAnswer&) = delete;
-
-  const RenderedRows& rows() const { return rows_; }
-
-  /// Row indexes ascending by cell tuple (RenderedRows::CompareRows). Built
-  /// by the first call and shared by every later one, also across threads;
-  /// `built`, when given, tells whether this call built it.
-  const std::vector<uint32_t>& MergeOrder(bool* built = nullptr) const;
-  /// Heap bytes of the merge order; call only once MergeOrder() returned.
-  size_t merge_order_bytes() const {
-    return order_.capacity() * sizeof(uint32_t);
-  }
-
- private:
-  const RenderedRows rows_;
-  mutable std::once_flag order_once_;
-  mutable std::vector<uint32_t> order_;
 };
 
 class QueryCache {
@@ -132,6 +117,7 @@ class QueryCache {
     uint64_t db_epoch = 0;
     uint64_t rules_epoch = 0;
     uint64_t options_fp = 0;
+    RowOrder order = RowOrder::kValue;  // of the entry's rendering
     bool operator==(const Key& o) const;
   };
 
@@ -140,30 +126,27 @@ class QueryCache {
   QueryCache& operator=(const QueryCache&) = delete;
   ~QueryCache() { Clear(); }
 
-  /// On a hit, decodes the answer rows stored under `key` into `rows`,
-  /// refreshes the entry's LRU position and counts a hit; otherwise counts
-  /// a miss and returns false.
+  /// On a hit, decodes the answer rows stored under `key` (value-ordered)
+  /// into `rows`, refreshes the entry's LRU position and counts a hit;
+  /// otherwise counts a miss and returns false.
   bool Lookup(const Key& key, std::vector<std::vector<Value>>* rows);
-  /// Lookup() that returns the stored rendering instead of decoding, or
-  /// null on a miss. With `merge_order`, the answer's merge order is built
-  /// if it was not yet, and its bytes are charged to the entry. Without
-  /// `count_miss`, a miss is left for the caller's next lookup to count.
-  std::shared_ptr<const RenderedAnswer> LookupRendered(const Key& key,
-                                                       bool merge_order,
-                                                       bool count_miss = true);
-  /// Whether `key` has an entry; touches neither the LRU order nor the
-  /// hit/miss counters (EXPLAIN).
-  bool Contains(const Key& key) const;
+  /// Lookup() of either order that returns the stored rendering itself
+  /// instead of decoding, or null on a miss. Without `count_miss`, a miss
+  /// is left for the caller's next lookup to count.
+  std::shared_ptr<const RenderedRows> LookupRendered(const Key& key,
+                                                     bool count_miss = true);
+  /// Whether `key`'s answer has an entry, in either order; touches neither
+  /// the LRU order nor the hit/miss counters (EXPLAIN).
+  bool Contains(Key key) const;
 
   /// Stores `rows` (each of `column_count` values) under `key`, rendered
-  /// with `db`, evicting LRU entries past the byte budget or the entry cap;
-  /// with `merge_order` the merge order is built first and stored with it.
-  /// An answer larger than the whole budget is not stored, and a racing
-  /// store of a key already present keeps the first. Returns the rendered
-  /// answer, stored or not.
-  std::shared_ptr<const RenderedAnswer> Store(
+  /// with `db` in the key's order, evicting LRU entries past the byte
+  /// budget or the entry cap. An answer larger than the whole budget is not
+  /// stored, and a racing store of a key already present keeps the first.
+  /// Returns the rendering, stored or not.
+  std::shared_ptr<const RenderedRows> Store(
       Key key, const std::vector<std::vector<Value>>& rows,
-      size_t column_count, const VideoDatabase* db, bool merge_order);
+      size_t column_count, const VideoDatabase* db);
 
   /// Drops every entry, releasing their governor reservations.
   void Clear();
@@ -176,8 +159,8 @@ class QueryCache {
   /// entries.
   size_t bytes() const;
   /// Bytes accounted to the entry under `key` (0 when absent): its
-  /// bookkeeping, 4 bytes per cell, the dictionary bytes that entry was
-  /// first to intern, its rendering and, once built, its merge order.
+  /// bookkeeping and its rendering, and for a value-ordered entry 4 bytes
+  /// per cell and the dictionary bytes that entry was first to intern.
   size_t entry_bytes(const Key& key) const;
   size_t max_bytes() const;
   void set_max_bytes(size_t bytes);
@@ -190,12 +173,12 @@ class QueryCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  /// One answer: row-major term-dictionary symbol ids, shaped as its
-  /// rendering's rows and columns, and the rendering.
+  /// One answer: its rendering and, value-ordered, its row-major
+  /// term-dictionary symbol ids, shaped as the rendering's rows and columns.
   struct Answer {
     explicit Answer(RenderedRows rows) : rendered(std::move(rows)) {}
+    RenderedRows rendered;
     std::vector<uint32_t> ids;
-    RenderedAnswer rendered;
   };
   struct Entry {
     std::shared_ptr<const Answer> answer;
@@ -204,11 +187,8 @@ class QueryCache {
   };
 
   /// The rendering inside `answer`, sharing its ownership.
-  static std::shared_ptr<const RenderedAnswer> RenderedOf(
+  static std::shared_ptr<const RenderedRows> RenderedOf(
       std::shared_ptr<const Answer> answer);
-  /// Adds `bytes` to the entry under `key` if it still holds `answer`, then
-  /// evicts LRU entries past the byte budget.
-  void ChargeEntry(const Key& key, const Answer* answer, size_t bytes);
   void ClearLocked();
   void EvictLocked(std::list<Key>::iterator it);
 

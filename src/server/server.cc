@@ -1018,7 +1018,13 @@ void Server::RespondInline(IoLoop* loop, Conn* conn, const Response& response,
 
 void Server::QueueWrite(IoLoop* loop, Conn* conn, std::string bytes,
                         bool close_after) {
-  conn->wbuf.append(bytes);
+  // An idle connection takes the frame as it is; only one with unsent
+  // bytes copies it in behind them.
+  if (conn->wbuf.empty()) {
+    conn->wbuf = std::move(bytes);
+  } else {
+    conn->wbuf.append(bytes);
+  }
   if (close_after) conn->close_after_write = true;
   responses_.fetch_add(1, std::memory_order_relaxed);
   metrics_->responses->Increment();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -26,19 +25,6 @@ obs::Counter* RecoveriesTotal() {
       "Completed shard recovery passes across all archives");
 }
 
-/// Distinct goal variables in first-occurrence order — the same column
-/// layout QuerySession produces, so per-shard answers merge positionally.
-std::vector<std::string> GoalColumns(const Query& query) {
-  std::vector<std::string> columns;
-  std::set<std::string> seen;
-  for (const Term& t : query.goal.args) {
-    if (t.kind == Term::Kind::kVariable && seen.insert(t.variable).second) {
-      columns.push_back(t.variable);
-    }
-  }
-  return columns;
-}
-
 /// Whether a shard provably contributes nothing to `query`: a constant
 /// symbol the shard cannot resolve cannot match any of its facts (symbols
 /// are shard-local), so skipping the shard preserves completeness.
@@ -53,60 +39,14 @@ bool CannotMatch(const VideoDatabase& db, const Query& query) {
   return false;
 }
 
-/// K-way merges shard answers, each read in its merge order, and drops
-/// adjacent duplicates: the rows std::sort + std::unique over their cell
-/// vectors would give, without rendering or sorting anything again. Rows
-/// are compared cell by cell, never as joined lines: cells "a" and "a b"
-/// order differently once ", " follows them.
-RenderedRows MergeRuns(
-    const std::vector<std::shared_ptr<const RenderedAnswer>>& runs,
-    size_t columns) {
-  struct Cursor {
-    const RenderedRows* rows;
-    const std::vector<uint32_t>* order;
-    size_t next;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(runs.size());
-  size_t bytes = 0;
-  size_t rows = 0;
-  for (const auto& run : runs) {
-    cursors.push_back({&run->rows(), &run->MergeOrder(), 0});
-    bytes += run->rows().text().size();
-    rows += run->rows().rows();
-  }
-  RenderedRows merged(columns);
-  merged.Reserve(bytes, rows);
-  for (;;) {
-    // Shards are few, so a linear scan finds the least head.
-    Cursor* least = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.next == c.order->size()) continue;
-      if (least == nullptr ||
-          RenderedRows::CompareRows(*c.rows, (*c.order)[c.next], *least->rows,
-                                    (*least->order)[least->next]) < 0) {
-        least = &c;
-      }
-    }
-    if (least == nullptr) break;
-    const size_t row = (*least->order)[least->next++];
-    if (merged.rows() == 0 ||
-        RenderedRows::CompareRows(*least->rows, row, merged,
-                                  merged.rows() - 1) != 0) {
-      merged.AppendRow(*least->rows, row);
-    }
-  }
-  return merged;
-}
-
 /// Counts a shard's answer into `result`, and keeps it for the merge when
 /// it has rows.
-void Gather(std::shared_ptr<const RenderedAnswer> answer,
+void Gather(std::shared_ptr<const RenderedRows> answer,
             ShardedArchive::ShardReport* report,
             ShardedArchive::ArchiveQueryResult* result,
-            std::vector<std::shared_ptr<const RenderedAnswer>>* runs) {
+            std::vector<std::shared_ptr<const RenderedRows>>* runs) {
   report->answered = true;
-  report->rows = answer->rows().rows();
+  report->rows = answer->rows();
   ++result->shards_answered;
   if (report->rows > 0) runs->push_back(std::move(answer));
 }
@@ -126,6 +66,74 @@ uint64_t TenantHash(const std::string& tenant) {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
+}
+
+std::shared_ptr<const RenderedRows> MergeRuns(
+    const std::vector<std::shared_ptr<const RenderedRows>>& runs,
+    size_t columns) {
+  if (runs.size() == 1) return runs.front();
+  struct Cursor {
+    const RenderedRows* rows;
+    size_t next;
+  };
+  auto less = [](const Cursor& x, const Cursor& y) {
+    return RenderedRows::CompareRows(*x.rows, x.next, *y.rows, y.next) < 0;
+  };
+  std::vector<Cursor> heads;  // the runs with rows left, least head first
+  size_t bytes = 0;
+  size_t rows = 0;
+  for (const auto& run : runs) {
+    if (run->rows() > 0) heads.push_back({run.get(), 0});
+    bytes += run->text().size();
+    rows += run->rows();
+  }
+  std::sort(heads.begin(), heads.end(), less);
+  auto merged = std::make_shared<RenderedRows>(columns);
+  merged->Reserve(bytes, rows);
+  while (!heads.empty()) {
+    Cursor& least = heads.front();
+    const RenderedRows& run = *least.rows;
+    // The block: the least run's rows below the second head, found by
+    // galloping (1, 2, 4, ... rows on) and then bisecting.
+    size_t end = run.rows();
+    if (heads.size() > 1) {
+      const Cursor& second = heads[1];
+      auto below = [&](size_t row) {
+        return RenderedRows::CompareRows(run, row, *second.rows,
+                                         second.next) < 0;
+      };
+      size_t lo = least.next;  // rows before lo are below
+      size_t probe = lo;
+      for (size_t step = 1; probe < end && below(probe); step *= 2) {
+        lo = probe + 1;
+        probe += step;
+      }
+      end = std::min(probe, end);  // not below, or the run's end
+      while (lo < end) {
+        const size_t mid = lo + (end - lo) / 2;
+        if (below(mid)) {
+          lo = mid + 1;
+        } else {
+          end = mid;
+        }
+      }
+    }
+    merged->AppendRows(run, least.next, end);
+    // An empty block is a least head equal to the second, whose run keeps
+    // that row: drop it. So every merged row is below every row left, and
+    // none repeats.
+    least.next = std::max(end, least.next + 1);
+    if (least.next == run.rows()) {
+      heads.erase(heads.begin());
+      continue;
+    }
+    // Its new head is not below the second: sink it past every head below
+    // it, looking from the back, where round-robin runs put it.
+    size_t at = heads.size() - 1;
+    while (at > 1 && less(heads[0], heads[at])) --at;
+    std::rotate(heads.begin(), heads.begin() + 1, heads.begin() + at + 1);
+  }
+  return merged;
 }
 
 const char* ShardedArchive::ShardStateName(ShardState s) {
@@ -646,11 +654,11 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   result.columns = GoalColumns(query);
   result.reports.reserve(shards_.size());
   // Each answering shard's rows, rendered shard-side (oids are shard-local)
-  // and with their merge order built. A cached answer keeps both, so a
-  // repeated scan renders and sorts nothing; an answer that bypasses the
-  // cache (sys_* goals, a degraded scatter, an entry over budget) is
-  // rendered and sorted for this scan alone, in the same form.
-  std::vector<std::shared_ptr<const RenderedAnswer>> runs;
+  // in merge order. A cached answer is stored in that order, so a repeated
+  // scan renders and sorts nothing; an answer that bypasses the cache
+  // (sys_* goals, a degraded scatter, an entry over budget) is rendered in
+  // it for this scan alone.
+  std::vector<std::shared_ptr<const RenderedRows>> runs;
   runs.reserve(shards_.size());
 
   // Pre-scan shard health before touching any session. In strict mode a
@@ -715,7 +723,7 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     const auto saved_cancel = session_options->cancel;
     if (options.deadline.has_value()) session_options->deadline = options.deadline;
     if (options.cancel != nullptr) session_options->cancel = options.cancel;
-    Result<std::shared_ptr<const RenderedAnswer>> answer =
+    Result<std::shared_ptr<const RenderedRows>> answer =
         s.session->RunRendered(query);
     session_options = s.session->mutable_options();
     session_options->deadline = saved_deadline;
@@ -796,13 +804,13 @@ std::optional<ShardedArchive::ArchiveQueryResult> ShardedArchive::CachedQuery(
     result.reports.push_back(std::move(report));
   }
   if (target == nullptr) return std::nullopt;
-  std::shared_ptr<const RenderedAnswer> answer =
+  std::shared_ptr<const RenderedRows> answer =
       target->session->CachedRunRendered(query);
   target_lock.unlock();
   if (answer == nullptr) return std::nullopt;
 
   ++result.shards_targeted;
-  std::vector<std::shared_ptr<const RenderedAnswer>> runs;
+  std::vector<std::shared_ptr<const RenderedRows>> runs;
   Gather(std::move(answer), &result.reports[target_report], &result, &runs);
   result.rendered = MergeRuns(runs, result.columns.size());
   return result;
@@ -810,11 +818,11 @@ std::optional<ShardedArchive::ArchiveQueryResult> ShardedArchive::CachedQuery(
 
 std::vector<std::vector<std::string>>
 ShardedArchive::ArchiveQueryResult::rows() const {
-  std::vector<std::vector<std::string>> out(rendered.rows());
+  std::vector<std::vector<std::string>> out(rendered->rows());
   for (size_t r = 0; r < out.size(); ++r) {
-    out[r].reserve(rendered.columns());
-    for (size_t c = 0; c < rendered.columns(); ++c) {
-      out[r].emplace_back(rendered.Cell(r, c));
+    out[r].reserve(rendered->columns());
+    for (size_t c = 0; c < rendered->columns(); ++c) {
+      out[r].emplace_back(rendered->Cell(r, c));
     }
   }
   return out;
@@ -822,11 +830,11 @@ ShardedArchive::ArchiveQueryResult::rows() const {
 
 std::string ShardedArchive::ArchiveQueryResult::ToString() const {
   std::string out;
-  out.reserve(64 + rendered.text().size());
+  out.reserve(64 + rendered->text().size());
   AppendAnswerHeader(size(), columns, &out);
   if (partial) out.append(" PARTIAL");
   out.push_back('\n');
-  out.append(rendered.text());
+  out.append(rendered->text());
   if (partial) {
     out.append("partial answer: " + std::to_string(shards_answered) + "/" +
                std::to_string(shards_targeted) +

@@ -46,12 +46,13 @@
 // that cannot resolve one of the goal's constant symbols cannot hold a
 // matching fact) and evaluated on every surviving shard's session. Each
 // shard answers rendered to display strings — shard-side, because oids are
-// shard-local — and with its rows' order by cell tuple; both are kept in
-// the shard's query-cache entry, so a repeated goal re-renders and re-sorts
-// nothing. The scatter k-way merges these pre-sorted runs and drops
-// adjacent duplicates, so the merged answer is the one sorting and
-// deduplicating every rendered row would give: deterministic regardless of
-// shard count or recovery order.
+// shard-local — in merge order: by cell tuple, adjacent equal rows
+// dropped, as the shard's query-cache entry keeps it (RowOrder::kCells), so
+// a repeated goal renders and sorts nothing. One shard's answer is the
+// merged answer, shared with its cache entry, with no row compared or
+// copied; two or more are merged a block at a time (MergeRuns). The merged
+// answer is the one sorting and deduplicating every rendered row would
+// give: deterministic regardless of shard count or recovery order.
 //
 // Concurrency: the archive has no lock of its own around reads. A shard's
 // serving state (database, session, journal) is guarded by that shard's
@@ -91,6 +92,16 @@ namespace vqldb {
 /// Stable tenant-routing hash (FNV-1a folded through a splitmix64
 /// finalizer); exposed so tests and the crash harness can predict routing.
 uint64_t TenantHash(const std::string& tenant);
+
+/// Merges `runs` of `columns` cells, each in merge order (RowOrder::kCells),
+/// into one run in merge order: the rows std::sort + std::unique over their
+/// cell vectors would give (cells, not joined lines: "a" and "a b" order
+/// differently once ", " follows them). A single run is returned itself;
+/// otherwise each step appends, as one byte range, the least run's rows
+/// below the second-least run's head.
+std::shared_ptr<const RenderedRows> MergeRuns(
+    const std::vector<std::shared_ptr<const RenderedRows>>& runs,
+    size_t columns);
 
 class ShardedArchive {
  public:
@@ -168,14 +179,16 @@ class ShardedArchive {
   /// deduplicated.
   struct ArchiveQueryResult {
     std::vector<std::string> columns;
-    RenderedRows rendered;  // the merged rows, one line each
+    /// The merged rows, one line each; never null. One shard's answer is
+    /// its cache entry's rows, shared.
+    std::shared_ptr<const RenderedRows> rendered;
     bool partial = false;  // some targeted shard could not answer
     size_t shards_targeted = 0;
     size_t shards_answered = 0;
     size_t shards_pruned = 0;
     std::vector<ShardReport> reports;  // one per shard, by shard_id
 
-    size_t size() const { return rendered.rows(); }
+    size_t size() const { return rendered->rows(); }
     bool empty() const { return size() == 0; }
     /// The merged rows decoded into their cells.
     std::vector<std::vector<std::string>> rows() const;

@@ -1,8 +1,9 @@
 // The memoizing query cache: hits without re-evaluation, epoch-based
 // invalidation on database mutation (direct and via journal replay),
 // canonical variable renaming, the LRU capacity bound, the epoch subtlety
-// of constructive evaluation, one cache shared by two sessions, and the
-// byte accounting of entries that carry their rendering and merge order.
+// of constructive evaluation, one cache shared by two sessions, a goal's
+// value-ordered and merge-ordered entries side by side, and the byte
+// accounting of entries that carry their rendering.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <thread>
 
 #include "src/engine/query.h"
+#include "src/lang/parser.h"
 #include "src/model/term_dict.h"
 #include "src/obs/metrics.h"
 #include "src/storage/journal.h"
@@ -325,9 +327,65 @@ TEST(SharedQueryCacheTest, SessionsShareOneCacheWithExactBytes) {
 
 // ------------------------------------------------------ byte accounting
 
-QueryCache::Key KeyFor(const std::string& predicate) {
+TEST(QueryCacheOrderTest, EachRenderedCallGetsItsOwnOrder) {
+  // Numbers order differently as values (2 < 10) and as cells ("10" <
+  // "2"). Run() and QueryRendered() share the value-ordered entry;
+  // RunRendered() stores and reads a merge-ordered one beside it.
+  VideoDatabase db;
+  auto cache = std::make_shared<QueryCache>();
+  QuerySession session(&db, {}, cache);
+  ASSERT_TRUE(session.Load("num(10). num(2). num(-3). twice(X) <- num(X).")
+                  .ok());
+  auto query = Parser::ParseQuery("?- twice(N).");
+  ASSERT_TRUE(query.ok());
+  const std::string value_body = "(3 answers) [N]\n  -3\n  2\n  10\n";
+
+  auto ran = session.Run(*query);
+  ASSERT_TRUE(ran.ok());
+  EXPECT_EQ(ran->ToString(&db), value_body);
+  EXPECT_EQ(cache->size(), 1u);
+  const size_t value_bytes = cache->bytes();
+
+  auto merged = session.RunRendered(*query);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_FALSE(session.last_exec_info().cache_hit);
+  EXPECT_EQ((*merged)->text(), "  -3\n  10\n  2\n");
+  EXPECT_EQ(cache->size(), 2u);
+  // Both entries count, the merge-ordered one with its rendering.
+  EXPECT_GE(cache->bytes(), value_bytes + (*merged)->bytes());
+
+  auto body = session.QueryRendered(*query);
+  ASSERT_TRUE(body.ok());
+  EXPECT_TRUE(session.last_exec_info().cache_hit);
+  EXPECT_EQ(*body, value_body);
+  auto again = session.RunRendered(*query);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(session.last_exec_info().cache_hit);
+  EXPECT_EQ(*again, *merged);  // the entry's own rows
+  EXPECT_EQ(session.CachedRunRendered(*query), *merged);
+  auto decoded = session.Run(*query);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(session.last_exec_info().cache_hit);
+  EXPECT_EQ(decoded->rows, ran->rows);
+  EXPECT_EQ(cache->size(), 2u);
+
+  // EXPLAIN reports a hit for either order.
+  auto explained = session.Explain("?- twice(N).", false);
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->find("query cache: hit"), std::string::npos);
+  cache->Clear();
+  ASSERT_TRUE(session.RunRendered(*query).ok());
+  explained = session.Explain("?- twice(N).", false);
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->find("query cache: hit"), std::string::npos)
+      << *explained;
+}
+
+QueryCache::Key KeyFor(const std::string& predicate,
+                       RowOrder order = RowOrder::kValue) {
   QueryCache::Key key;
   key.predicate = predicate;
+  key.order = order;
   key.pattern = "v0";
   key.db_epoch = 1;
   return key;
@@ -358,38 +416,41 @@ TEST(QueryCacheAccountingTest, EntryBytesIncludeRenderingAndMergeOrder) {
   QueryCache cache;
   const QueryCache::Key short_key = KeyFor("short");
   const QueryCache::Key long_key = KeyFor("long");
-  auto short_answer = cache.Store(short_key, rows, 1, &short_db, false);
-  auto long_answer = cache.Store(long_key, rows, 1, &long_db, false);
+  auto short_answer = cache.Store(short_key, rows, 1, &short_db);
+  auto long_answer = cache.Store(long_key, rows, 1, &long_db);
   ASSERT_EQ(cache.size(), 2u);
-  EXPECT_EQ(short_answer->rows().text().substr(0, 5), "  s0\n");
-  EXPECT_EQ(long_answer->rows().Cell(49, 0), "a_much_longer_symbol_49");
+  EXPECT_EQ(short_answer->text().substr(0, 10), "  s0\n  s1\n");
+  EXPECT_EQ(long_answer->Cell(49, 0), "a_much_longer_symbol_49");
 
   // The entries differ only in their renderings, and so do their bytes.
   const size_t short_bytes = cache.entry_bytes(short_key);
   const size_t long_bytes = cache.entry_bytes(long_key);
   EXPECT_EQ(long_bytes - short_bytes,
-            long_answer->rows().bytes() - short_answer->rows().bytes());
+            long_answer->bytes() - short_answer->bytes());
   EXPECT_GE(long_bytes - short_bytes, 50u * 20);
-  EXPECT_GE(short_answer->rows().bytes(),
-            short_answer->rows().text().size() + 50 * sizeof(uint32_t));
+  EXPECT_GE(short_answer->bytes(),
+            short_answer->text().size() + 50 * sizeof(uint32_t));
   EXPECT_EQ(cache.bytes(), short_bytes + long_bytes);
 
-  // The merge order is charged to its entry once, when first built.
-  auto ordered = cache.LookupRendered(short_key, /*merge_order=*/true);
-  ASSERT_EQ(ordered, short_answer);
-  EXPECT_EQ(ordered->merge_order_bytes(), 50 * sizeof(uint32_t));
-  EXPECT_EQ(cache.entry_bytes(short_key),
-            short_bytes + 50 * sizeof(uint32_t));
-  ASSERT_NE(cache.LookupRendered(short_key, true), nullptr);
-  EXPECT_EQ(cache.entry_bytes(short_key),
-            short_bytes + 50 * sizeof(uint32_t));
-  EXPECT_EQ(cache.bytes(), cache.entry_bytes(short_key) + long_bytes);
-
-  // A store that asks for the merge order charges it from the start.
-  const QueryCache::Key eager_key = KeyFor("eager");
-  cache.Store(eager_key, rows, 1, &short_db, /*merge_order=*/true);
-  EXPECT_EQ(cache.entry_bytes(eager_key),
-            short_bytes + 50 * sizeof(uint32_t));
+  // The merge-ordered entry of the same rows is rendered once, in cell
+  // order, and keeps no ids: the value-ordered entry's bytes less its 4
+  // bytes per cell, with its own rendering in place of the other.
+  const QueryCache::Key merge_key = KeyFor("short", RowOrder::kCells);
+  auto merged = cache.Store(merge_key, rows, 1, &short_db);
+  ASSERT_EQ(cache.size(), 3u);
+  EXPECT_NE(merged, short_answer);
+  EXPECT_EQ(merged->text().substr(0, 16), "  s0\n  s1\n  s10\n");
+  EXPECT_EQ(merged->text().size(), short_answer->text().size());
+  EXPECT_EQ(cache.entry_bytes(merge_key), short_bytes -
+                                              50 * sizeof(uint32_t) -
+                                              short_answer->bytes() +
+                                              merged->bytes());
+  // Nothing is built later: a lookup of either order charges nothing.
+  ASSERT_EQ(cache.LookupRendered(merge_key), merged);
+  ASSERT_EQ(cache.LookupRendered(short_key), short_answer);
+  EXPECT_EQ(cache.entry_bytes(short_key), short_bytes);
+  EXPECT_EQ(cache.bytes(),
+            short_bytes + long_bytes + cache.entry_bytes(merge_key));
 }
 
 TEST(QueryCacheAccountingTest, BytesAreTheSumOverEntriesThroughEveryChange) {
@@ -401,32 +462,43 @@ TEST(QueryCacheAccountingTest, BytesAreTheSumOverEntriesThroughEveryChange) {
     for (const auto& key : keys) total += cache.entry_bytes(key);
     return total;
   };
+  // Entries of both orders, a value-ordered and a merge-ordered one per
+  // predicate for every other predicate.
   for (int i = 0; i < 8; ++i) {
+    const auto rows =
+        EntityRows(&db, "e" + std::to_string(i) + "_", 10 + i);
     keys.push_back(KeyFor("p" + std::to_string(i)));
-    cache.Store(keys.back(), EntityRows(&db, "e" + std::to_string(i) + "_",
-                                        10 + i),
-                1, &db, /*merge_order=*/i % 2 == 0);
+    cache.Store(keys.back(), rows, 1, &db);
     EXPECT_EQ(cache.bytes(), sum()) << "store " << i;
+    if (i % 2 != 0) continue;
+    keys.push_back(KeyFor("p" + std::to_string(i), RowOrder::kCells));
+    cache.Store(keys.back(), rows, 1, &db);
+    EXPECT_EQ(cache.bytes(), sum()) << "merge-ordered store " << i;
   }
   for (const auto& key : keys) {
-    std::vector<std::vector<Value>> decoded;
-    ASSERT_TRUE(cache.Lookup(key, &decoded));
-    ASSERT_NE(cache.LookupRendered(key, /*merge_order=*/true), nullptr);
+    if (key.order == RowOrder::kValue) {
+      std::vector<std::vector<Value>> decoded;
+      ASSERT_TRUE(cache.Lookup(key, &decoded));
+    }
+    ASSERT_NE(cache.LookupRendered(key), nullptr);
     EXPECT_EQ(cache.bytes(), sum());
   }
 
   // Eviction: a budget of half the bytes evicts LRU entries on the next
-  // store, and building a merge order past the budget evicts too.
+  // store, of either order.
   cache.set_max_bytes(cache.bytes() / 2);
   keys.push_back(KeyFor("late"));
-  cache.Store(keys.back(), EntityRows(&db, "late", 40), 1, &db, false);
+  cache.Store(keys.back(), EntityRows(&db, "late", 40), 1, &db);
   EXPECT_LT(cache.size(), keys.size());
   EXPECT_LE(cache.bytes(), cache.max_bytes());
   EXPECT_EQ(cache.bytes(), sum());
+  const size_t before = cache.size();
   cache.set_max_bytes(cache.bytes() + 8);
-  ASSERT_NE(cache.LookupRendered(keys.back(), /*merge_order=*/true), nullptr);
+  keys.push_back(KeyFor("late", RowOrder::kCells));
+  cache.Store(keys.back(), EntityRows(&db, "later", 40), 1, &db);
   EXPECT_LE(cache.bytes(), cache.max_bytes());
   EXPECT_NE(cache.entry_bytes(keys.back()), 0u);
+  EXPECT_LE(cache.size(), before);
   EXPECT_EQ(cache.bytes(), sum());
 
   const size_t held = cache.bytes();
@@ -441,10 +513,12 @@ TEST(QueryCacheAccountingTest, GovernorReservationReturnsToZeroAfterClear) {
   QueryCache cache;
   cache.set_governor(governor);
   for (int i = 0; i < 4; ++i) {
-    const QueryCache::Key key = KeyFor("g" + std::to_string(i));
+    const QueryCache::Key key = KeyFor(
+        "g" + std::to_string(i), i % 2 == 0 ? RowOrder::kCells
+                                            : RowOrder::kValue);
     cache.Store(key, EntityRows(&db, "g" + std::to_string(i) + "_", 20), 1,
-                &db, /*merge_order=*/false);
-    ASSERT_NE(cache.LookupRendered(key, /*merge_order=*/i % 2 == 0), nullptr);
+                &db);
+    ASSERT_NE(cache.LookupRendered(key), nullptr);
   }
   EXPECT_GT(governor->bytes_reserved(), 0u);
   EXPECT_EQ(governor->bytes_reserved(), cache.bytes());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -410,18 +411,40 @@ TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
 TEST(SnapshotManagerTest, ConcurrentRenderedReadersOfOneGenerationMatchSerial) {
   // Eight threads read one generation through the rendered path and share
   // its cache entries: every body must be the serial ToString bytes. Then
-  // all eight ask for the merge orders of those entries at once, so each
-  // order is first requested by several threads together.
+  // all eight ask for the merge-ordered answers at once, so each
+  // merge-ordered entry is first stored by several threads together, and
+  // every thread must see cell-tuple order: the serial rows' cells sorted
+  // and deduplicated.
   const auto [program, goals] = MakeNewsTimeline();
   VideoDatabase serial_db;
   QuerySession serial(&serial_db);
   ASSERT_TRUE(serial.Load(program).ok());
   std::vector<std::string> expected;
+  std::vector<std::string> expected_merged;
   std::vector<Query> parsed;
   for (const std::string& goal : goals) {
     auto result = serial.Query(goal);
     ASSERT_TRUE(result.ok()) << goal << ": " << result.status().ToString();
     expected.push_back(result->ToString(&serial_db));
+    const RenderedRows rendered(result->rows, result->columns.size(),
+                                &serial_db);
+    std::vector<std::vector<std::string>> cells(rendered.rows());
+    for (size_t r = 0; r < cells.size(); ++r) {
+      for (size_t c = 0; c < rendered.columns(); ++c) {
+        cells[r].emplace_back(rendered.Cell(r, c));
+      }
+    }
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    std::string merged;
+    for (const auto& row : cells) {
+      merged += "  ";
+      for (size_t c = 0; c < row.size(); ++c) {
+        merged += (c ? ", " : "") + row[c];
+      }
+      merged += "\n";
+    }
+    expected_merged.push_back(std::move(merged));
     auto query = Parser::ParseQuery(goal);
     ASSERT_TRUE(query.ok());
     parsed.push_back(*query);
@@ -451,8 +474,8 @@ TEST(SnapshotManagerTest, ConcurrentRenderedReadersOfOneGenerationMatchSerial) {
           if (*body != expected[g]) ++mismatches;
         }
       }
-      // Every entry is cached without its merge order; all threads now
-      // request the orders in the same sequence.
+      // Every value-ordered entry is cached; all threads now ask for the
+      // merge-ordered answers in the same sequence.
       ready.fetch_add(1);
       while (ready.load() < 8) {
       }
@@ -461,12 +484,10 @@ TEST(SnapshotManagerTest, ConcurrentRenderedReadersOfOneGenerationMatchSerial) {
         ASSERT_TRUE(lease.ok());
         auto rendered = lease->session()->RunRendered(parsed[g]);
         ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-        const RenderedRows& rows = (*rendered)->rows();
-        const std::vector<uint32_t>& order = (*rendered)->MergeOrder();
-        if (order.size() != rows.rows()) ++misordered;
-        for (size_t k = 1; k < order.size(); ++k) {
-          if (RenderedRows::CompareRows(rows, order[k - 1], rows,
-                                        order[k]) > 0) {
+        const RenderedRows& rows = **rendered;
+        if (rows.text() != expected_merged[g]) ++misordered;
+        for (size_t k = 1; k < rows.rows(); ++k) {
+          if (RenderedRows::CompareRows(rows, k - 1, rows, k) >= 0) {
             ++misordered;
           }
         }

@@ -10,7 +10,9 @@
 // allow_partial (a degraded scatter, shard caches suppressed). The
 // cache-only lookup the server answers on its IO thread (CachedQuery) must
 // give Query()'s bytes for every goal pruned to one shard, and nothing
-// otherwise.
+// otherwise; it and a one-shard scatter share the shard cache entry's rows.
+// The block merge itself (MergeRuns) is checked against the same reference
+// over 1-8 seeded runs of every shape a scan can meet.
 
 #include <gtest/gtest.h>
 
@@ -407,6 +409,163 @@ TEST_F(ArchiveMergeTest, CachedLookupServesTheMergeOrder) {
   auto cached = a.CachedQuery(*query);
   ASSERT_TRUE(cached.has_value());
   EXPECT_EQ(cached->ToString(), want);
+}
+
+TEST_F(ArchiveMergeTest, OneShardAnswersShareTheCacheEntrysRows) {
+  // k1 lives on shard 1 only; rel(X, Y, Z) spans both shards.
+  auto archive = ShardedArchive::Open(root_, Options(2));
+  ASSERT_TRUE(archive.ok()) << archive.status();
+  ShardedArchive& a = **archive;
+  for (uint32_t shard : {0u, 1u}) {
+    VideoDatabase* db = a.shard_db(shard);
+    const std::string key = shard == 0 ? "k0" : "k1";
+    for (const char* cell : {"a", "a b", "a!"}) {
+      std::vector<Value> args;
+      for (const std::string& symbol : {key, std::string(cell)}) {
+        auto id = db->Resolve(symbol);
+        args.push_back(
+            Value::Oid(id.ok() ? *id : *db->CreateEntity(symbol)));
+      }
+      args.push_back(Value::Int(static_cast<int64_t>(shard)));
+      ASSERT_TRUE(db->AssertFact("rel", args).ok());
+    }
+  }
+  auto lookup = Parser::ParseQuery("?- rel(k1, X, N).");
+  ASSERT_TRUE(lookup.ok()) << lookup.status();
+  // A worker's one-shard scatter, missing then hitting, and the IO
+  // thread's cache-only lookup all hand out the one cached object: no row
+  // is compared or copied.
+  auto missed = a.Query(*lookup, {});
+  ASSERT_TRUE(missed.ok()) << missed.status();
+  EXPECT_EQ(missed->ToString(),
+            "(3 answers) [X, N]\n  a, 1\n  a b, 1\n  a!, 1\n");
+  auto hit = a.Query(*lookup, {});
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  auto cached = a.CachedQuery(*lookup);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(hit->rendered.get(), missed->rendered.get());
+  EXPECT_EQ(cached->rendered.get(), missed->rendered.get());
+  EXPECT_EQ(cached->ToString(), missed->ToString());
+
+  // A scan merges two shard entries into rows of its own.
+  auto scan = Parser::ParseQuery("?- rel(K, X, N).");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  auto scanned = a.Query(*scan, {});
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  EXPECT_EQ(scanned->size(), 6u);
+  EXPECT_NE(scanned->rendered.get(), missed->rendered.get());
+
+  // The scan cached a merge-ordered entry on shard 0, the representative
+  // EXPLAIN plans on: its cache line reports the hit.
+  auto explained = a.Explain("?- rel(K, X, N).", false);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->find("query cache: hit"), std::string::npos)
+      << *explained;
+  explained = a.Explain("?- rel(k0, X, N).", false);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->find("query cache: miss"), std::string::npos)
+      << *explained;
+}
+
+TEST(MergeRunsTest, BlockMergeMatchesTheSortAndUniqueReference) {
+  // Cells that are prefixes of one another or hold ", " order differently
+  // as cells than as joined lines.
+  VideoDatabase db;
+  const std::vector<std::string> shared = {"a", "a b", "a!", "a, b", "ab",
+                                           "b", "o1", "o10", "o2"};
+  std::vector<Value> shared_oids;
+  for (const std::string& symbol : shared) {
+    shared_oids.push_back(Value::Oid(*db.CreateEntity(symbol)));
+  }
+  std::vector<std::vector<Value>> tenant_oids(8);
+  for (size_t t = 0; t < tenant_oids.size(); ++t) {
+    for (int i = 0; i < 40; ++i) {
+      tenant_oids[t].push_back(Value::Oid(*db.CreateEntity(
+          "t" + std::to_string(t) + "_o" + std::to_string(i))));
+    }
+  }
+  const std::vector<Value> scalars = {Value::Int(-3), Value::Int(2),
+                                      Value::Int(10), Value::String("a"),
+                                      Value::String("a b")};
+  auto cell_of = [&](const Value& v) {
+    return v.is_oid() ? db.DisplayName(v.oid_value()) : v.ToString();
+  };
+
+  enum Shape { kPartitioned, kInterleaved, kRepeated, kShapes };
+  std::mt19937 rng(2027);
+  size_t shared_merges = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Shape shape = static_cast<Shape>(trial % kShapes);
+    const size_t run_count = 1 + rng() % 8;
+    const size_t columns = rng() % 6 == 0 ? 0 : 1 + rng() % 3;
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", shape " +
+                 std::to_string(shape) + ", " + std::to_string(run_count) +
+                 " runs of " + std::to_string(columns) + " columns");
+    // kRepeated: every run holds the same rows.
+    std::vector<std::vector<Value>> repeated;
+    std::vector<std::shared_ptr<const RenderedRows>> runs;
+    std::vector<std::vector<std::string>> reference;
+    for (size_t r = 0; r < run_count; ++r) {
+      std::vector<std::vector<Value>> rows;
+      const size_t row_count = rng() % 5 == 0 ? 0 : rng() % 60;
+      for (size_t i = 0; i < row_count; ++i) {
+        std::vector<Value> row;
+        for (size_t c = 0; c < columns; ++c) {
+          // Partitioned runs lead with their tenant's symbols, so long
+          // stretches of one run merge as a block; interleaved runs draw
+          // from one pool, so rows alternate run by run and repeat.
+          if (c == 0 && shape == kPartitioned) {
+            row.push_back(tenant_oids[r][rng() % tenant_oids[r].size()]);
+          } else if (rng() % 3 == 0) {
+            row.push_back(scalars[rng() % scalars.size()]);
+          } else {
+            row.push_back(shared_oids[rng() % shared_oids.size()]);
+          }
+        }
+        rows.push_back(std::move(row));
+      }
+      if (shape == kRepeated) {
+        if (r == 0) repeated = rows;
+        rows = repeated;
+      }
+      for (const auto& row : rows) {
+        std::vector<std::string> cells;
+        for (const Value& v : row) cells.push_back(cell_of(v));
+        reference.push_back(std::move(cells));
+      }
+      runs.push_back(std::make_shared<const RenderedRows>(rows, columns, &db,
+                                                          RowOrder::kCells));
+    }
+    std::sort(reference.begin(), reference.end());
+    reference.erase(std::unique(reference.begin(), reference.end()),
+                    reference.end());
+    std::string want;
+    for (const auto& row : reference) {
+      want += "  ";
+      for (size_t c = 0; c < row.size(); ++c) {
+        want += (c ? ", " : "") + row[c];
+      }
+      want += "\n";
+    }
+
+    const auto merged = MergeRuns(runs, columns);
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(merged->text(), want);
+    ASSERT_EQ(merged->rows(), reference.size());
+    ASSERT_EQ(merged->columns(), columns);
+    // The shifted cell offsets of every block decode the same cells.
+    for (size_t r = 0; r < reference.size(); ++r) {
+      for (size_t c = 0; c < columns; ++c) {
+        ASSERT_EQ(merged->Cell(r, c), reference[r][c]) << r << ", " << c;
+      }
+    }
+    if (run_count == 1) {
+      EXPECT_EQ(merged, runs.front());  // one run is the answer as it is
+    } else {
+      ++shared_merges;
+    }
+  }
+  EXPECT_GT(shared_merges, 300u);
 }
 
 TEST_F(ArchiveMergeTest, SystemGoalsBypassShardCachesAndStillMerge) {

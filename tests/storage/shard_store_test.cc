@@ -734,7 +734,7 @@ TEST_F(ShardStoreTest, ConcurrentScattersWritesAndRecovery) {
         EXPECT_TRUE(query_options.allow_partial);
         EXPECT_LT(got->shards_answered, got->shards_targeted);
         // Every row it has is a row of the complete answer.
-        const std::string& rows = got->rendered.text();
+        const std::string& rows = got->rendered->text();
         for (size_t at = 0; at < rows.size();) {
           const size_t end = rows.find('\n', at) + 1;
           EXPECT_NE(expected[g].find("\n" + rows.substr(at, end - at)),

@@ -81,8 +81,9 @@
 #    `tsan` job runs that server section and the two archive tests.
 # 9. Configure + build with -DVQLDB_SANITIZE=undefined and run the QSQR,
 #    differential-oracle, strategy and magic-set property, answer-cache,
-#    rendered-answer and parser-fuzz tests under UBSan with
-#    halt_on_error=1, so any undefined-behaviour report fails the gate.
+#    rendered-answer, parser-fuzz and archive (shard merge offset
+#    arithmetic) tests under UBSan with halt_on_error=1, so any
+#    undefined-behaviour report fails the gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -487,11 +488,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rendered_query_test
 echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
 UBSAN_TESTS=(qsqr_test differential_oracle_test strategy_property_test
              magic_sets_property_test planner_test query_cache_test
-             rendered_query_test parser_fuzz_test)
+             rendered_query_test parser_fuzz_test archive_merge_test
+             shard_store_test)
 cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
 
-echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz =="
+echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz + archive merge =="
 for t in "${UBSAN_TESTS[@]}"; do
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
 done
