@@ -120,12 +120,12 @@ void PrintSeries() {
 }
 
 // -------------------------------------------------------------- columnar
-// The PR-6 ablation: dictionary-encoded sorted-segment merge joins vs the
-// Value-keyed hash-index fallback on a join-heavy, string-keyed relational
-// workload. Both strategies must produce byte-identical answers; the merge
-// path must be at least 2x faster and the columnar representation at least
-// 3x smaller per tuple than the boxed row-store estimate — both enforced
-// with hard VQLDB_CHECK gates so a regression fails the bench loudly.
+// Dictionary-encoded sorted-segment merge joins on a join-heavy,
+// string-keyed relational workload. The fixpoint must take only the merge
+// path and answer exactly as forced QSQR does (QSQR probes only the hash
+// index), and the columnar representation must be at least 3x smaller per
+// tuple than the boxed row-store estimate — all enforced with hard
+// VQLDB_CHECK gates so a regression fails the bench loudly.
 
 std::unique_ptr<VideoDatabase> RelationalGraph(size_t nodes, size_t fanout) {
   auto db = std::make_unique<VideoDatabase>();
@@ -161,11 +161,9 @@ std::unique_ptr<VideoDatabase> RelationalGraph(size_t nodes, size_t fanout) {
 
 // Probe-dominated, highly selective joins: triangles and closed wedges in a
 // sparse graph fire millions of index probes that mostly come back empty,
-// while deriving comparatively few tuples — the join strategy, not the
-// insert path, is what gets measured. Every join key is a contiguous bound
-// prefix, so with merge joins on this program runs entirely off the sorted
-// segments; with them off it runs entirely off the Value-keyed hash
-// indexes — a clean A/B of the two paths.
+// while deriving comparatively few tuples — the join path, not the insert
+// path, is what gets measured. Every join key is a contiguous bound prefix,
+// so the fixpoint runs entirely off the sorted segments.
 const char* kJoinProgram = R"(
   triangle(X, Y, Z) <- edge(X, Y), edge(Y, Z), edge(Z, X).
   wedge(X, Z) <- edge(X, Y), edge(Y, Z), edge(X, Z).
@@ -179,14 +177,19 @@ struct ColumnarSample {
   Interpretation::StorageStats storage;
 };
 
-ColumnarSample RunJoinWorkload(VideoDatabase* db, bool merge_join,
-                               std::string* rendered) {
+// Both goals' answers, rendered, under `strategy`.
+std::string RenderJoinAnswers(QuerySession* session, EvalStrategy strategy) {
+  session->mutable_options()->strategy = strategy;
+  auto r1 = session->Query("?- triangle(X, Y, Z).");
+  VQLDB_CHECK_OK(r1.status());
+  auto r2 = session->Query("?- wedge(X, W).");
+  VQLDB_CHECK_OK(r2.status());
+  return r1->ToString() + "\n" + r2->ToString();
+}
+
+ColumnarSample RunJoinWorkload(VideoDatabase* db, std::string* rendered) {
   EvalOptions options;
-  options.num_threads = 1;  // isolate join strategy from scheduling noise
-  options.merge_join = merge_join;
-  // Answer the rendered queries from this join path's materialized fixpoint
-  // (QSQR probes hash indexes whatever merge_join says).
-  options.strategy = EvalStrategy::kFixpoint;
+  options.num_threads = 1;  // isolate the join path from scheduling noise
   QuerySession session(db, options);
   session.set_cache_enabled(false);
   VQLDB_CHECK_OK(session.Load(kJoinProgram));
@@ -201,13 +204,27 @@ ColumnarSample RunJoinWorkload(VideoDatabase* db, bool merge_join,
   s.hash_probes = session.last_stats().hash_join_probes;
   s.storage = (*interp)->ComputeStorageStats();
   if (rendered != nullptr) {
-    auto r1 = session.Query("?- triangle(X, Y, Z).");
-    VQLDB_CHECK_OK(r1.status());
-    auto r2 = session.Query("?- wedge(X, W).");
-    VQLDB_CHECK_OK(r2.status());
-    *rendered = r1->ToString() + "\n" + r2->ToString();
+    // Answered from the materialized fixpoint.
+    *rendered = RenderJoinAnswers(&session, EvalStrategy::kFixpoint);
   }
   return s;
+}
+
+// The same answers from forced QSQR, timed.
+std::string RunQsqrAnswers(VideoDatabase* db, double* ms) {
+  EvalOptions options;
+  options.num_threads = 1;
+  QuerySession session(db, options);
+  session.set_cache_enabled(false);
+  VQLDB_CHECK_OK(session.Load(kJoinProgram));
+  auto begin = std::chrono::steady_clock::now();
+  std::string rendered = RenderJoinAnswers(&session, EvalStrategy::kQsqr);
+  *ms = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - begin)
+            .count();
+  VQLDB_CHECK(session.last_exec_info().strategy == "qsqr")
+      << "forced QSQR fell back: " << session.last_exec_info().plan_reason;
+  return rendered;
 }
 
 void ColumnarSeries() {
@@ -217,24 +234,16 @@ void ColumnarSeries() {
   auto db = RelationalGraph(kNodes, kFanout);
 
   std::string merge_rendered;
-  std::string hash_rendered;
-  ColumnarSample merge_best;
-  ColumnarSample hash_best;
-  merge_best.ms = -1;
-  hash_best.ms = -1;
-  // Interleave merge-on and merge-off runs (best of 7 each) so clock or
-  // load drift during the measurement cannot masquerade as a speedup.
+  ColumnarSample best;
+  best.ms = -1;
   for (int i = 0; i < kRuns; ++i) {
-    ColumnarSample on =
-        RunJoinWorkload(db.get(), true, i == 0 ? &merge_rendered : nullptr);
-    ColumnarSample off =
-        RunJoinWorkload(db.get(), false, i == 0 ? &hash_rendered : nullptr);
-    if (merge_best.ms < 0 || on.ms < merge_best.ms) merge_best = on;
-    if (hash_best.ms < 0 || off.ms < hash_best.ms) hash_best = off;
+    ColumnarSample s =
+        RunJoinWorkload(db.get(), i == 0 ? &merge_rendered : nullptr);
+    if (best.ms < 0 || s.ms < best.ms) best = s;
   }
-  bool identical = merge_rendered == hash_rendered;
-  double speedup = merge_best.ms > 0 ? hash_best.ms / merge_best.ms : 0;
-  const Interpretation::StorageStats& st = merge_best.storage;
+  double qsqr_ms = 0;
+  bool identical = RunQsqrAnswers(db.get(), &qsqr_ms) == merge_rendered;
+  const Interpretation::StorageStats& st = best.storage;
   double bytes_per_tuple =
       st.rows > 0 ? static_cast<double>(st.columnar_bytes) / st.rows : 0;
   double reduction =
@@ -243,28 +252,24 @@ void ColumnarSeries() {
           : 0;
   const TermDict& dict = TermDict::Global();
 
-  std::printf("== columnar merge joins vs hash-index probes "
-              "(%zu nodes, fanout %zu, best of %d) ==\n",
+  std::printf("== columnar merge joins (%zu nodes, fanout %zu, best of %d) "
+              "==\n",
               kNodes, kFanout, kRuns);
-  std::printf("merge joins: %.2f ms (%zu merge probes, %zu hash probes)\n",
-              merge_best.ms, merge_best.merge_probes, merge_best.hash_probes);
-  std::printf("hash joins:  %.2f ms (%zu merge probes, %zu hash probes)\n",
-              hash_best.ms, hash_best.merge_probes, hash_best.hash_probes);
-  std::printf("speedup: %.2fx; answers identical: %s\n", speedup,
-              identical ? "yes" : "NO — BUG");
+  std::printf("fixpoint: %.2f ms (%zu merge probes, %zu hash probes)\n",
+              best.ms, best.merge_probes, best.hash_probes);
+  std::printf("answers identical to forced QSQR (%.2f ms, hash probes "
+              "only): %s\n",
+              qsqr_ms, identical ? "yes" : "NO — BUG");
   std::printf("storage: %zu tuples, %.1f b/tuple columnar, row-store "
               "estimate %zu bytes (%.1fx reduction), dictionary %zu terms\n",
               st.rows, bytes_per_tuple, st.row_store_bytes, reduction,
               dict.size());
+  std::fflush(stdout);
 
   VQLDB_CHECK(identical)
-      << "merge-join and hash-join answers differ — correctness bug";
-  VQLDB_CHECK(merge_best.merge_probes > 0 && merge_best.hash_probes == 0)
-      << "merge-join run did not take the merge path";
-  VQLDB_CHECK(hash_best.merge_probes == 0 && hash_best.hash_probes > 0)
-      << "hash-join run did not take the hash path";
-  VQLDB_CHECK(speedup >= 2.0)
-      << "merge joins only " << speedup << "x faster (need >= 2x)";
+      << "fixpoint and QSQR answers differ — correctness bug";
+  VQLDB_CHECK(best.merge_probes > 0 && best.hash_probes == 0)
+      << "the fixpoint did not take the merge path";
   VQLDB_CHECK(reduction >= 3.0)
       << "columnar storage only " << reduction
       << "x smaller than the row-store estimate (need >= 3x)";
@@ -276,23 +281,19 @@ void ColumnarSeries() {
         "{\n  \"bench\": \"columnar\",\n"
         "  \"workload\": \"string_keyed_join_graph\",\n"
         "  \"nodes\": %zu,\n  \"fanout\": %zu,\n  \"runs\": %d,\n"
-        "  \"merge_join\": {\"time_ms\": %.3f, \"merge_probes\": %zu, "
+        "  \"fixpoint\": {\"time_ms\": %.3f, \"merge_probes\": %zu, "
         "\"hash_probes\": %zu},\n"
-        "  \"hash_join\": {\"time_ms\": %.3f, \"merge_probes\": %zu, "
-        "\"hash_probes\": %zu},\n"
-        "  \"speedup\": %.3f,\n  \"results_identical\": %s,\n"
+        "  \"qsqr_ms\": %.3f,\n  \"results_identical\": %s,\n"
         "  \"storage\": {\"tuples\": %zu, \"sealed\": %zu, "
         "\"segments\": %zu, \"columnar_bytes\": %zu, "
         "\"bytes_per_tuple\": %.1f, \"row_store_bytes\": %zu, "
         "\"reduction\": %.2f},\n"
         "  \"dictionary\": {\"terms\": %zu, \"bytes\": %zu},\n"
         "  \"metrics\": %s}\n",
-        kNodes, kFanout, kRuns, merge_best.ms, merge_best.merge_probes,
-        merge_best.hash_probes, hash_best.ms, hash_best.merge_probes,
-        hash_best.hash_probes, speedup, identical ? "true" : "false",
-        st.rows, st.sealed_rows, st.segments, st.columnar_bytes,
-        bytes_per_tuple, st.row_store_bytes, reduction, dict.size(),
-        dict.ApproxBytes(),
+        kNodes, kFanout, kRuns, best.ms, best.merge_probes, best.hash_probes,
+        qsqr_ms, identical ? "true" : "false", st.rows, st.sealed_rows,
+        st.segments, st.columnar_bytes, bytes_per_tuple, st.row_store_bytes,
+        reduction, dict.size(), dict.ApproxBytes(),
         obs::MetricsRegistry::Global().RenderJson().c_str());
     std::fclose(f);
     std::printf("wrote BENCH_columnar.json\n\n");

@@ -80,10 +80,10 @@ void PrintSeries() {
 }
 
 // Join access paths over the archive's derived relations: materialize a
-// co-presence join with merge joins on and off, reporting per-strategy probe
-// counts and the columnar bytes/tuple next to the row-store estimate. The
-// numbers land in BENCH_indexes.json (the hard gates live in
-// bench_fixpoint_scaling's columnar series; this is the archive-shaped view).
+// co-presence join, reporting its merge-join and hash probe counts and the
+// columnar bytes/tuple next to the row-store estimate. The numbers land in
+// BENCH_indexes.json (the hard gates live in bench_fixpoint_scaling's
+// columnar series; this is the archive-shaped view).
 constexpr const char* kArchiveJoinProgram = R"(
   appears(G, O) <- Interval(G), Object(O), O in G.entities.
   copresent(G, O1, O2) <- appears(G, O1), appears(G, O2), O1 != O2.
@@ -97,10 +97,9 @@ struct JoinPathSample {
   Interpretation::StorageStats storage;
 };
 
-JoinPathSample RunArchiveJoin(VideoDatabase* db, bool merge_join) {
+JoinPathSample RunArchiveJoin(VideoDatabase* db) {
   EvalOptions options;
   options.num_threads = 1;
-  options.merge_join = merge_join;
   QuerySession session(db, options);
   session.set_cache_enabled(false);
   VQLDB_CHECK_OK(session.Load(kArchiveJoinProgram));
@@ -119,41 +118,35 @@ JoinPathSample RunArchiveJoin(VideoDatabase* db, bool merge_join) {
 
 void JoinAccessPathSeries() {
   std::printf("== join access paths over the synthetic archive ==\n");
-  std::printf("%-8s %-10s %-10s %-12s %-12s %-10s\n", "shots", "strategy",
-              "ms", "merge", "hash", "b/tuple");
+  std::printf("%-8s %-10s %-12s %-12s %-10s\n", "shots", "ms", "merge",
+              "hash", "b/tuple");
   FILE* f = std::fopen("BENCH_indexes.json", "w");
   VQLDB_CHECK(f != nullptr);
   std::fprintf(f, "{\n  \"join_access_paths\": [\n");
   bool first = true;
   for (size_t shots : {200, 800}) {
     auto db = BigArchive(12, shots);
-    for (bool merge_join : {true, false}) {
-      JoinPathSample best;
-      for (int i = 0; i < 3; ++i) {
-        JoinPathSample s = RunArchiveJoin(db.get(), merge_join);
-        if (i == 0 || s.ms < best.ms) best = s;
-      }
-      double bpt =
-          best.storage.rows == 0
-              ? 0.0
-              : static_cast<double>(best.storage.columnar_bytes) /
-                    static_cast<double>(best.storage.rows);
-      std::printf("%-8zu %-10s %-10.2f %-12zu %-12zu %-10.1f\n", shots,
-                  merge_join ? "merge" : "hash", best.ms, best.merge_probes,
-                  best.hash_probes, bpt);
-      std::fprintf(
-          f,
-          "%s    {\"shots\": %zu, \"strategy\": \"%s\", \"ms\": %.3f, "
-          "\"derived\": %zu, \"merge_join_probes\": %zu, "
-          "\"hash_join_probes\": %zu, \"tuples\": %zu, "
-          "\"columnar_bytes\": %zu, \"bytes_per_tuple\": %.1f, "
-          "\"row_store_bytes\": %zu}",
-          first ? "" : ",\n", shots, merge_join ? "merge" : "hash", best.ms,
-          best.derived, best.merge_probes, best.hash_probes,
-          best.storage.rows, best.storage.columnar_bytes, bpt,
-          best.storage.row_store_bytes);
-      first = false;
+    JoinPathSample best;
+    for (int i = 0; i < 3; ++i) {
+      JoinPathSample s = RunArchiveJoin(db.get());
+      if (i == 0 || s.ms < best.ms) best = s;
     }
+    double bpt = best.storage.rows == 0
+                     ? 0.0
+                     : static_cast<double>(best.storage.columnar_bytes) /
+                           static_cast<double>(best.storage.rows);
+    std::printf("%-8zu %-10.2f %-12zu %-12zu %-10.1f\n", shots, best.ms,
+                best.merge_probes, best.hash_probes, bpt);
+    std::fprintf(
+        f,
+        "%s    {\"shots\": %zu, \"ms\": %.3f, \"derived\": %zu, "
+        "\"merge_join_probes\": %zu, \"hash_join_probes\": %zu, "
+        "\"tuples\": %zu, \"columnar_bytes\": %zu, "
+        "\"bytes_per_tuple\": %.1f, \"row_store_bytes\": %zu}",
+        first ? "" : ",\n", shots, best.ms, best.derived, best.merge_probes,
+        best.hash_probes, best.storage.rows, best.storage.columnar_bytes, bpt,
+        best.storage.row_store_bytes);
+    first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

@@ -1,10 +1,10 @@
 // Columnar relation segments. A Segment is an immutable, sorted,
 // column-major run of dictionary-encoded rows: the unit of sharing between
 // Freeze/Thaw generations (shared_ptr-refcounted, never mutated after
-// construction) and the substrate for the evaluator's merge joins and
-// binary-search prefix probes. Rows inside a segment are sorted
-// lexicographically by symbol id — an arbitrary but consistent total order,
-// which is all an equi-join needs.
+// construction) and the substrate for the bottom-up evaluator's merge
+// joins, which binary-search a literal's bound prefix. Rows inside a segment
+// are sorted lexicographically by symbol id — an arbitrary but consistent
+// total order, which is all an equi-join needs.
 
 #ifndef VQLDB_ENGINE_COLUMNAR_H_
 #define VQLDB_ENGINE_COLUMNAR_H_
@@ -18,8 +18,8 @@ namespace vqldb {
 
 /// One immutable sorted run of a relation. `cols` is column-major
 /// (cols[c * rows + r]); `src[r]` maps sorted position r back to the row's
-/// insertion-order position in the owning store, so probe results can be
-/// reported in the legacy position space.
+/// insertion-order position in the owning store, so probe results share
+/// the position space of the hash index and of scans.
 struct Segment {
   uint32_t arity = 0;
   uint32_t rows = 0;

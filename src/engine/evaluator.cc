@@ -351,13 +351,12 @@ Status Evaluator::EvalSteps(const CompiledRule& rule, size_t step_idx,
     return holds ? proceed() : Status::OK();
   }
 
-  // Relational literal: three access paths over the columnar store. When
-  // the statically bound argument positions form a contiguous prefix and
-  // merge joins are enabled, binary-search the sorted segments on the raw
-  // symbol-id key; otherwise probe the multi-column hash index on every
-  // bound position; with nothing bound, scan the relation. All three yield
-  // candidates in ascending insertion order, so the derived fact stream —
-  // and therefore the fixpoint — is identical across strategies.
+  // Relational literal: the probe's shape picks the access path. When the
+  // statically bound argument positions form a contiguous prefix,
+  // binary-search the sorted segments on the raw symbol-id key; otherwise
+  // probe the multi-column hash index on every bound position; with nothing
+  // bound, scan the relation. All three yield candidates in ascending
+  // insertion order, so the derived fact stream does not depend on the path.
   const Interpretation& source = restricted ? *delta : full;
   Interpretation::RelationView& rel = scratch->rels[step_idx];
   if (!scratch->rel_ready[step_idx]) {
@@ -406,7 +405,7 @@ Status Evaluator::EvalSteps(const CompiledRule& rule, size_t step_idx,
   };
 
   uint64_t probe_mask = step.bound_mask;
-  if (probe_mask != 0 && step.merge_eligible && options_.merge_join) {
+  if (step.merge_eligible) {
     // Merge join: compose the prefix key from compile-time constant ids and
     // the ids carried by earlier bindings, then binary-search the sealed
     // sorted runs (RunRound seals right after freezing).
@@ -508,7 +507,7 @@ void Evaluator::PrepareJoinIndexes(const Interpretation& full,
     for (const CompiledStep& step : rule.steps) {
       const CompiledLiteral& lit = step.literal;
       if (lit.builtin != BuiltinClass::kNone || step.bound_mask == 0) continue;
-      if (step.merge_eligible && options_.merge_join) {
+      if (step.merge_eligible) {
         continue;  // answered by sorted-segment search, no hash index needed
       }
       if (options_.concrete_domain != nullptr &&
@@ -576,7 +575,7 @@ Status Evaluator::CheckInterrupt() const {
 
 namespace {
 // Freezes the round's shared interpretations for the duration of a scope:
-// task bodies hold Lookup/LookupMulti references into them, so any Add
+// task bodies hold LookupMulti references into them, so any Add
 // (insert-while-iterating) must die loudly instead of invalidating live
 // iterations. Derived facts go to per-task private outputs, never here.
 class FreezeScope {
@@ -603,24 +602,18 @@ Status Evaluator::RunRound(const std::vector<RuleTask>& tasks,
                            const std::vector<ObjectId>* interval_delta,
                            Interpretation* out) {
   FreezeScope freeze(full, delta);
-  if (options_.merge_join) {
-    // Seal the round's inputs so merge-eligible steps binary-search
-    // immutable sorted runs instead of scanning an unsealed tail. Skipped
-    // entirely when no compiled step can take the merge path.
-    bool any_merge = false;
-    for (const CompiledRule& rule : rules_) {
-      for (const CompiledStep& step : rule.steps) {
-        if (step.merge_eligible) {
-          any_merge = true;
-          break;
-        }
-      }
-      if (any_merge) break;
+  // Seal the round's inputs so merge-eligible steps binary-search immutable
+  // sorted runs instead of scanning an unsealed tail. Skipped entirely when
+  // no compiled step can take the merge path.
+  bool any_merge = false;
+  for (const CompiledRule& rule : rules_) {
+    for (const CompiledStep& step : rule.steps) {
+      any_merge |= step.merge_eligible;
     }
-    if (any_merge) {
-      full.SealSegments();
-      if (delta != nullptr) delta->SealSegments();
-    }
+  }
+  if (any_merge) {
+    full.SealSegments();
+    if (delta != nullptr) delta->SealSegments();
   }
   const bool prof = options_.collect_profile;
   if (prof) EnsureProfileRules();

@@ -13,6 +13,12 @@
 // constraint of the rule allows, an unbound class literal enumerates only
 // the candidates an index yields (eval_common::MatchClassLiteral).
 //
+// A relational literal finds its facts by the shape of its probe: bound
+// positions forming a contiguous prefix binary-search the round's sealed
+// segments (a merge join), other bound positions probe the multi-column
+// hash index, and a literal with nothing bound scans. Every path yields
+// candidates in insertion order, so the fixpoint does not depend on it.
+//
 // Constructive heads (G1 ++ G2) call VideoDatabase::Concatenate, whose
 // constituent-set-canonical ids make (+) idempotent — the termination
 // argument of Section 6.1 (I1 (+) I1 == I1) holds exactly, so fixpoints of
@@ -92,13 +98,6 @@ struct EvalOptions {
   /// When true, type mismatches inside constraints (e.g. `in` on a non-set)
   /// raise TypeError; when false they simply fail the constraint.
   bool strict_types = false;
-  /// Use merge joins (binary search over the sorted columnar segments) for
-  /// body literals whose bound positions form a contiguous prefix; off falls
-  /// every probe back to the multi-column hash indexes. The answers are
-  /// identical either way — candidate lists come back in the same insertion
-  /// order — so this is purely a performance switch (and the control for the
-  /// equivalence tests and benchmark baselines).
-  bool merge_join = true;
   /// Worker threads for fixpoint rounds. 0 = hardware concurrency; 1 = the
   /// exact serial legacy path (no pool, no snapshot/merge). With N > 1,
   /// independent (rule, delta_pos) tasks of each semi-naive round evaluate

@@ -182,7 +182,6 @@ bool Interpretation::InsertRow(const std::string& predicate,
   store.slots[slot] = static_cast<uint32_t>(store.rows()) + 1;
   store.ids.insert(store.ids.end(), row, row + arity);
   store.starts.push_back(static_cast<uint32_t>(store.ids.size()));
-  if (arity > 64) store.has_wide = true;
   ++total_;
   ++generation_;
   if (observed_) {
@@ -275,26 +274,6 @@ const std::vector<size_t>& Interpretation::EmptyIndex() {
   return kEmpty;
 }
 
-const std::vector<size_t>& Interpretation::Lookup(const std::string& predicate,
-                                                  size_t pos,
-                                                  const Value& value) const {
-  auto it = stores_.find(predicate);
-  if (it == stores_.end()) return EmptyIndex();
-  const PredicateStore& store = it->second;
-  auto& index = store.index[pos];
-  size_t& upto = store.indexed_upto[pos];
-  TermDict& dict = TermDict::Global();
-  // Extend the index over rows added since the last lookup at this position.
-  for (size_t n = store.rows(); upto < n; ++upto) {
-    uint32_t begin = store.starts[upto];
-    if (pos < store.starts[upto + 1] - begin) {
-      index[dict.Get(store.ids[begin + pos])].push_back(upto);
-    }
-  }
-  auto vit = index.find(value);
-  return vit == index.end() ? EmptyIndex() : vit->second;
-}
-
 void Interpretation::ExtendMultiIndex(const PredicateStore& store,
                                       uint64_t mask, MultiIndex* mi) {
   if (mi->upto >= store.rows()) return;  // already current
@@ -322,140 +301,49 @@ void Interpretation::ExtendMultiIndex(const PredicateStore& store,
   }
 }
 
-void Interpretation::ProbeSortedStore(const PredicateStore& store,
-                                      const uint32_t* key, uint32_t key_len,
-                                      uint32_t arity,
-                                      std::vector<size_t>* out) {
-  if (arity != 0) {
-    // The common probe: one arity, one (compacted) run — search it directly
-    // instead of walking the runs map.
-    auto rit = store.runs.find(arity);
-    if (rit != store.runs.end()) {
-      for (const auto& seg : rit->second) {
-        auto [lo, hi] = seg->EqualRange(key, key_len);
-        for (uint32_t r = lo; r < hi; ++r) out->push_back(seg->src[r]);
-      }
-    }
-  } else {
-    for (const auto& [seg_arity, segs] : store.runs) {
-      if (seg_arity < key_len) continue;
-      for (const auto& seg : segs) {
-        auto [lo, hi] = seg->EqualRange(key, key_len);
-        for (uint32_t r = lo; r < hi; ++r) out->push_back(seg->src[r]);
-      }
-    }
-  }
-  // Linear scan of the unsealed tail.
-  if (store.sealed_rows < store.rows()) {
-    for (size_t r = store.sealed_rows, n = store.rows(); r < n; ++r) {
-      uint32_t begin = store.starts[r];
-      uint32_t a = store.starts[r + 1] - begin;
-      if (arity != 0 ? a != arity : a < key_len) continue;
-      if (std::equal(key, key + key_len, store.ids.data() + begin)) {
-        out->push_back(r);
-      }
-    }
-  }
-  // Ascending insertion-order positions: identical candidate order to the
-  // hash-index path, which appends positions as rows arrive — byte-for-byte
-  // equal evaluation regardless of the chosen join strategy.
-  if (out->size() > 1) std::sort(out->begin(), out->end());
-}
-
-void Interpretation::ProbeSorted(const std::string& predicate,
-                                 const uint32_t* key, uint32_t key_len,
-                                 uint32_t arity,
-                                 std::vector<size_t>* out) const {
-  out->clear();
-  VQLDB_DCHECK(key_len >= 1);
-  auto it = stores_.find(predicate);
-  if (it == stores_.end()) return;
-  ProbeSortedStore(it->second, key, key_len, arity, out);
-}
-
 void Interpretation::RelationView::ProbeSorted(const uint32_t* key,
                                                uint32_t key_len,
                                                uint32_t arity,
                                                std::vector<size_t>* out) const {
+  VQLDB_DCHECK(key_len >= 1 && arity >= 1);
   out->clear();
   const PredicateStore& store = *store_;
-  if (arity != 0) {
-    if (segs_arity_ != arity) {
-      auto rit = store.runs.find(arity);
-      segs_ = rit == store.runs.end() ? nullptr : &rit->second;
-      segs_arity_ = arity;
-    }
-    if (segs_ != nullptr) {
-      for (const auto& seg : *segs_) {
-        auto [lo, hi] = seg->EqualRange(key, key_len);
-        for (uint32_t r = lo; r < hi; ++r) out->push_back(seg->src[r]);
-      }
-    }
-    // Linear scan of the unsealed tail, then restore ascending insertion
-    // order (identical candidate order to the hash-index path).
-    if (store.sealed_rows < store.rows()) {
-      for (size_t r = store.sealed_rows, n = store.rows(); r < n; ++r) {
-        uint32_t begin = store.starts[r];
-        if (store.starts[r + 1] - begin != arity) continue;
-        if (std::equal(key, key + key_len, store.ids.data() + begin)) {
-          out->push_back(r);
-        }
-      }
-    }
-    if (out->size() > 1) std::sort(out->begin(), out->end());
-    return;
+  if (segs_arity_ != arity) {
+    auto rit = store.runs.find(arity);
+    segs_ = rit == store.runs.end() ? nullptr : &rit->second;
+    segs_arity_ = arity;
   }
-  Interpretation::ProbeSortedStore(store, key, key_len, arity, out);
+  if (segs_ != nullptr) {
+    for (const auto& seg : *segs_) {
+      auto [lo, hi] = seg->EqualRange(key, key_len);
+      for (uint32_t r = lo; r < hi; ++r) out->push_back(seg->src[r]);
+    }
+  }
+  // Linear scan of the unsealed tail.
+  for (size_t r = store.sealed_rows, n = store.rows(); r < n; ++r) {
+    uint32_t begin = store.starts[r];
+    if (store.starts[r + 1] - begin != arity) continue;
+    if (std::equal(key, key + key_len, store.ids.data() + begin)) {
+      out->push_back(r);
+    }
+  }
+  // Ascending insertion-order positions: the candidate order of the hash
+  // index and of a scan, so the access path never changes the order in
+  // which facts are derived.
+  if (out->size() > 1) std::sort(out->begin(), out->end());
 }
 
 const std::vector<size_t>& Interpretation::LookupMulti(
     const std::string& predicate, uint64_t mask,
     const std::vector<Value>& key) const {
+  VQLDB_DCHECK(mask != 0);
   auto it = stores_.find(predicate);
   if (it == stores_.end()) return EmptyIndex();
   const PredicateStore& store = it->second;
-  if (mask == 0) {
-    // Nothing bound: degrade to a full scan. Every fact trivially matches
-    // the empty key, so the mask-0 index maps {} -> all positions; probe it
-    // with the empty key regardless of what the caller passed.
-    static const std::vector<Value> kEmptyKey;
-    MultiIndex& mi = store.multi_index[0];
-    ExtendMultiIndex(store, 0, &mi);
-    auto vit = mi.map.find(kEmptyKey);
-    return vit == mi.map.end() ? EmptyIndex() : vit->second;
-  }
-  if (store.has_wide && !frozen_ && (mask & (mask + 1)) == 0) {
-    // Wide-row store, contiguous-prefix mask: answer by binary search over
-    // the sorted runs plus a tail scan instead of materializing a hash index
-    // over the wide rows. Memoized per key; any row-count change invalidates
-    // the cache wholesale — the same "stable until the next Add of this
-    // predicate" contract as the hash path. Skipped while frozen, because
-    // frozen interpretations are probed concurrently and this path mutates.
-    SortedProbeCache& cache = store.probe_cache[mask];
-    if (cache.valid_rows != store.rows()) {
-      cache.map.clear();
-      cache.valid_rows = store.rows();
-    }
-    auto [cit, inserted] = cache.map.try_emplace(key);
-    if (inserted && !key.empty()) {
-      TermDict& dict = TermDict::Global();
-      uint32_t key_len = static_cast<uint32_t>(key.size());
-      uint32_t kids[64];
-      bool dead = false;
-      for (uint32_t i = 0; i < key_len; ++i) {
-        kids[i] = dict.IdOf(key[i]);
-        if (kids[i] == kNoTermId) dead = true;  // value never interned
-      }
-      if (!dead) {
-        ProbeSortedStore(store, kids, key_len, /*arity=*/0, &cit->second);
-      }
-    }
-    return cit->second;
-  }
   auto mit = store.multi_index.find(mask);
   if (mit == store.multi_index.end() || mit->second.upto < store.rows()) {
     // Slow path: create or extend (single-threaded phases only; PrepareIndex
-    // makes the hot path above mutation-free for concurrent probes).
+    // makes the hot path below mutation-free for concurrent probes).
     MultiIndex& mi = store.multi_index[mask];
     ExtendMultiIndex(store, mask, &mi);
     auto vit = mi.map.find(key);

@@ -4,11 +4,11 @@
 // predicate as dictionary-encoded columnar rows: every ground term is
 // interned into the global TermDict, a relation holds rows of 32-bit symbol
 // ids in insertion order, and Freeze() seals the mutable tail into immutable
-// sorted segments (src/engine/columnar.h) that power the evaluator's merge
-// joins and binary-search prefix probes. Segments are shared_ptr-refcounted,
-// so Freeze/Thaw generations and interpretation copies share them. The
-// legacy Value-keyed hash indexes remain as the fallback access path (and
-// the baseline the merge-join benchmarks compare against).
+// sorted segments (src/engine/columnar.h) that answer the evaluator's
+// bound-prefix probes by binary search. Segments are shared_ptr-refcounted,
+// so Freeze/Thaw generations and interpretation copies share them. Every
+// other bound probe goes through a lazily built multi-column hash index,
+// which also serves QSQR, whose memo grows between probes.
 
 #ifndef VQLDB_ENGINE_INTERPRETATION_H_
 #define VQLDB_ENGINE_INTERPRETATION_H_
@@ -46,15 +46,6 @@ class Interpretation {
     size_t upto = 0;  // rows indexed so far
   };
 
-  /// Memoized sorted-run probes (the arity>64 LookupMulti fast path): one
-  /// candidate list per probed key, valid while the store holds valid_rows
-  /// rows. Entries are stable storage, so the Lookup reference-validity
-  /// contract (stable until the next Add of the predicate) holds unchanged.
-  struct SortedProbeCache {
-    std::unordered_map<std::vector<Value>, std::vector<size_t>, KeyHash> map;
-    size_t valid_rows = 0;
-  };
-
   struct PredicateStore {
     // Insertion-order, dictionary-encoded row storage: row r's symbol ids
     // occupy ids[starts[r] .. starts[r+1]). Mixed arities are allowed (the
@@ -63,20 +54,13 @@ class Interpretation {
     std::vector<uint32_t> starts{0};
     // Open-addressed membership table of row positions + 1 (0 = empty).
     std::vector<uint32_t> slots;
-    bool has_wide = false;  // some row has arity > 64
     // Immutable sorted runs per arity; rows [0, sealed_rows) live in runs.
     // Sealed by Freeze(), compacted by k-way merge when runs accumulate.
     mutable std::map<uint32_t, std::vector<std::shared_ptr<const Segment>>>
         runs;
     mutable size_t sealed_rows = 0;
-    // Value-keyed lazy hash indexes — the legacy access path.
-    // arg position -> value -> row positions; extended lazily.
-    mutable std::map<size_t, std::unordered_map<Value, std::vector<size_t>>>
-        index;
-    mutable std::map<size_t, size_t> indexed_upto;  // per position
     // bound-position bitmap -> multi-column hash index; extended lazily.
     mutable std::map<uint64_t, MultiIndex> multi_index;
-    mutable std::map<uint64_t, SortedProbeCache> probe_cache;
     // Lazily decoded Fact views for FactsFor() (compatibility surface);
     // append-only, so earlier entries stay put until the vector regrows —
     // exactly the legacy facts-vector behavior.
@@ -88,7 +72,7 @@ class Interpretation {
  public:
   /// A borrowed view of one stored row: `arity` symbol ids, resolvable to
   /// canonical Values through TermDict::Global().Get(). Valid until the next
-  /// Add() of the owning predicate (same contract as Lookup references).
+  /// Add() of the owning predicate (same contract as LookupMulti references).
   struct RowRef {
     const uint32_t* ids = nullptr;
     uint32_t arity = 0;
@@ -105,11 +89,13 @@ class Interpretation {
       return RowRef{store_->ids.data() + begin,
                     store_->starts[pos + 1] - begin};
     }
-    /// Same probe as Interpretation::ProbeSorted, minus the per-probe
-    /// predicate-name map lookup — the hot-loop entry point for merge joins.
+    /// Positions of rows (ascending, i.e. insertion order) of exactly
+    /// `arity` whose first `key_len` symbol ids equal `key`: binary search
+    /// over the sealed sorted runs plus a linear scan of the unsealed tail —
+    /// the merge-join access path. key_len and arity must be >= 1.
     /// Memoizes the store's per-arity segment list on first use, so repeated
     /// probes through one view (the evaluator keeps a view per rule step)
-    /// skip the runs-map walk too. The memo assumes no sealing happens while
+    /// skip the runs-map walk. The memo assumes no sealing happens while
     /// the view is held — true for rule evaluation, which runs strictly
     /// between seals.
     void ProbeSorted(const uint32_t* key, uint32_t key_len, uint32_t arity,
@@ -147,8 +133,7 @@ class Interpretation {
 
   /// Adds a fact (interning its values); returns true iff it was not already
   /// present. Fatal when the interpretation is frozen (see Freeze) — the
-  /// insert-while-iterating guard for code holding Lookup/LookupMulti
-  /// references.
+  /// insert-while-iterating guard for code holding LookupMulti references.
   bool Add(Fact fact);
 
   /// Adds an already-encoded row (symbol ids are process-global, so rows
@@ -184,48 +169,24 @@ class Interpretation {
     }
   }
 
-  /// Positions of rows of `predicate` (ascending, i.e. insertion order)
-  /// whose first `key_len` symbol ids equal `key`, restricted to rows of
-  /// exactly `arity` (or any arity >= key_len when `arity` == 0). Binary
-  /// search over the sealed sorted runs plus a linear scan of the unsealed
-  /// tail — the merge-join access path. key_len must be >= 1.
-  void ProbeSorted(const std::string& predicate, const uint32_t* key,
-                   uint32_t key_len, uint32_t arity,
-                   std::vector<size_t>* out) const;
-
-  /// Positions of facts of `predicate` whose argument `pos` equals `value`
-  /// (indexes into FactsFor(predicate)). Builds/extends the index lazily.
-  ///
-  /// Reference validity contract (also for LookupMulti): the returned
-  /// reference is stable until the next Add() of a fact of the same
-  /// predicate — a later probe then extends the lazily built index, which
-  /// may grow the very vector the reference designates and invalidate any
-  /// iteration in flight. Callers that interleave Add with iteration must
-  /// either copy the candidate list first or re-probe after every Add (the
-  /// re-probe always returns the complete, current candidate set). Use
-  /// Freeze() to turn a violation into an immediate fatal error instead of
-  /// silent undefined behavior; generation() detects intervening mutation.
-  const std::vector<size_t>& Lookup(const std::string& predicate, size_t pos,
-                                    const Value& value) const;
-
   /// Multi-column probe: positions of facts of `predicate` whose argument at
   /// every set bit of `mask` (bit i = argument position i) equals the
   /// corresponding element of `key` (key holds the bound values in ascending
   /// position order; key.size() == popcount(mask)). Builds/extends the
-  /// per-mask hash index lazily.
+  /// per-mask hash index lazily. `mask` must be non-zero: a literal with
+  /// nothing bound scans the relation instead. Argument positions >= 64
+  /// cannot be expressed in the bitmap, so facts of arity > 64 are indexed
+  /// by their first 64 positions only — exact for every representable mask.
   ///
-  /// Edge cases, both structured rather than undefined:
-  ///   * mask == 0 degrades to a full scan — `key` is ignored and the
-  ///     positions of every fact of the predicate are returned (callers with
-  ///     nothing bound get the complete candidate list, never a silent miss);
-  ///   * argument positions >= 64 cannot be expressed in the bitmap, so
-  ///     facts of arity > 64 are indexed by their first 64 positions only —
-  ///     exact for every representable mask (bits >= 64 do not exist).
-  ///     Stores holding such wide facts answer contiguous-prefix masks by
-  ///     binary search over the sorted runs (memoized per key) instead of
-  ///     materializing a hash index over the wide rows; the reference
-  ///     validity contract is identical.
-  /// See Lookup for the reference validity contract.
+  /// Reference validity contract: the returned reference is stable until
+  /// the next Add() of a fact of the same predicate — a later probe then
+  /// extends the lazily built index, which may grow the very vector the
+  /// reference designates and invalidate any iteration in flight. Callers
+  /// that interleave Add with iteration must either copy the candidate list
+  /// first or re-probe after every Add (the re-probe always returns the
+  /// complete, current candidate set). Use Freeze() to turn a violation into
+  /// an immediate fatal error instead of silent undefined behavior;
+  /// generation() detects intervening mutation.
   const std::vector<size_t>& LookupMulti(const std::string& predicate,
                                          uint64_t mask,
                                          const std::vector<Value>& key) const;
@@ -250,13 +211,13 @@ class Interpretation {
 
   /// Sorts and seals every store's unsealed tail into immutable segments,
   /// merging runs when a store has accumulated more than a handful. The
-  /// evaluator seals the round's shared interpretations (when merge joins
-  /// are on) right after freezing them, so ProbeSorted answers by binary
-  /// search instead of a tail scan. Idempotent until the next Add().
+  /// evaluator seals the round's shared interpretations (when some step can
+  /// take a merge join) right after freezing them, so ProbeSorted answers by
+  /// binary search instead of a tail scan. Idempotent until the next Add().
   void SealSegments() const;
 
   /// Mutation counter: incremented by every successful Add(). Callers that
-  /// must hold a Lookup/LookupMulti reference across unrelated code can
+  /// must hold a LookupMulti reference across unrelated code can
   /// snapshot this and re-probe when it changed.
   uint64_t generation() const { return generation_; }
 
@@ -327,9 +288,6 @@ class Interpretation {
 
   static void ExtendMultiIndex(const PredicateStore& store, uint64_t mask,
                                MultiIndex* mi);
-  static void ProbeSortedStore(const PredicateStore& store,
-                               const uint32_t* key, uint32_t key_len,
-                               uint32_t arity, std::vector<size_t>* out);
   static void SealStore(const PredicateStore& store);
 
   // Membership helpers (open addressing, linear probing).

@@ -293,7 +293,8 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
 
   // Relational literal. Derive the subgoal's call pattern from the bound
   // arguments, recurse if it names an IDB predicate (filling the memo), then
-  // probe the memo for matching rows.
+  // probe the memo's hash index for matching rows, or scan it when nothing
+  // is bound.
   const size_t arity = lit.args.size();
   uint64_t mask = 0;
   for (size_t i = 0; i < arity && i < 64; ++i) {
@@ -327,31 +328,17 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
     VQLDB_RETURN_NOT_OK(Solve(lit.predicate, sub, depth + 1));
   }
 
-  std::vector<Value> probe_key;
-  for (size_t i = 0; i < arity && i < 64; ++i) {
-    if (!(mask >> i & 1)) continue;
-    const CompiledTerm& arg = lit.args[i];
-    probe_key.push_back(arg.is_var ? env->Get(arg.var) : arg.value);
-  }
-  ++stats_.join_probes;
-  ++stats_.hash_join_probes;
-  // Copy the candidate positions: emissions during recursion below may
-  // extend the lazily built index the reference designates. Positions stay
-  // valid (row storage is append-only in insertion order); the RowRef is
-  // re-fetched per iteration because Add may regrow the id columns.
-  std::vector<size_t> candidates =
-      memo_.LookupMulti(lit.predicate, mask, probe_key);
-  if (!candidates.empty()) ++stats_.join_probe_hits;
+  // Match a memo row on raw symbol ids (id equality is value equality),
+  // recording bindings made here for backtracking. A binding carrying
+  // kNoTermId matches nothing, correctly: its value is stored in no
+  // relation. The RowRef is re-fetched per row because emissions during the
+  // recursion below may regrow the id columns; positions stay valid (row
+  // storage is append-only in insertion order).
   Interpretation::RelationView rel = memo_.Relation(lit.predicate);
-  if (!rel.valid()) return Status::OK();
   TermDict& dict = TermDict::Global();
-
-  for (size_t pos : candidates) {
+  auto try_row = [&](size_t pos) -> Status {
     Interpretation::RowRef row = rel.row(pos);
-    if (row.arity != arity) continue;
-    // Match on raw symbol ids (id equality is value equality); record
-    // bindings made here for backtracking. A binding carrying kNoTermId
-    // matches nothing, correctly: its value is stored in no relation.
+    if (row.arity != arity) return Status::OK();
     int bound_here[16];
     size_t num_bound = 0;
     std::vector<int> overflow;
@@ -381,8 +368,32 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
     Status st = matched ? proceed() : Status::OK();
     for (size_t i = 0; i < num_bound; ++i) env->Unbind(bound_here[i]);
     for (int v : overflow) env->Unbind(v);
-    VQLDB_RETURN_NOT_OK(st);
+    return st;
+  };
+
+  if (mask == 0) {
+    // Nothing bound: scan the rows present when the scan starts. Like the
+    // bottom-up evaluator's scans, this counts no probe.
+    for (size_t pos = 0, n = rel.rows(); pos < n; ++pos) {
+      VQLDB_RETURN_NOT_OK(try_row(pos));
+    }
+    return Status::OK();
   }
+  std::vector<Value> probe_key;
+  for (size_t i = 0; i < arity && i < 64; ++i) {
+    if (!(mask >> i & 1)) continue;
+    const CompiledTerm& arg = lit.args[i];
+    probe_key.push_back(arg.is_var ? env->Get(arg.var) : arg.value);
+  }
+  ++stats_.join_probes;
+  ++stats_.hash_join_probes;
+  // Copy the candidate positions: emissions during recursion below may
+  // extend the lazily built index the reference designates. Non-empty
+  // candidates mean the store existed when `rel` was taken.
+  std::vector<size_t> candidates =
+      memo_.LookupMulti(lit.predicate, mask, probe_key);
+  if (!candidates.empty()) ++stats_.join_probe_hits;
+  for (size_t pos : candidates) VQLDB_RETURN_NOT_OK(try_row(pos));
   return Status::OK();
 }
 

@@ -70,7 +70,7 @@ struct QsqrResult {
 
   /// `iterations` counts outer passes: 1 for a non-recursive cone; a
   /// recursive one repeats until a pass derives nothing new. Join counters
-  /// count memo probes.
+  /// count memo hash-index probes; scans of unbound literals count none.
   EvalStats stats;
 };
 

@@ -493,7 +493,6 @@ Result<std::string> QuerySession::Explain(std::string_view query_text,
   } else {
     header << "governor: off\n";
   }
-  header << "merge joins: " << (opts.merge_join ? "on" : "off") << "\n";
 
   VQLDB_ASSIGN_OR_RETURN(Evaluator eval, Evaluator::Make(db_, program, opts));
   eval.AddSeedFacts(std::move(seeds));
@@ -506,8 +505,21 @@ Result<std::string> QuerySession::Explain(std::string_view query_text,
     os << "(no rules in the dependency cone of " << q.goal.predicate
        << "; the goal is answered from stored facts)\n";
   }
+  // QSQR enters the goal predicate's rules with the goal's constant
+  // positions bound by head unification; the cone's other rules render
+  // from an empty call.
+  uint64_t goal_constants = 0;
+  for (size_t i = 0; i < q.goal.args.size() && i < 64; ++i) {
+    if (q.goal.args[i].kind == Term::Kind::kConstant) {
+      goal_constants |= uint64_t{1} << i;
+    }
+  }
   for (const CompiledRule& rule : compiled) {
-    os << ExplainRule(rule, opts.merge_join, opts.strict_types);
+    std::optional<uint64_t> qsqr_call;
+    if (choice.strategy == EvalStrategy::kQsqr) {
+      qsqr_call = rule.head_predicate == q.goal.predicate ? goal_constants : 0;
+    }
+    os << ExplainRule(rule, opts.strict_types, qsqr_call);
   }
   if (!analyze) return os.str();
 

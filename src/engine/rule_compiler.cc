@@ -419,8 +419,8 @@ Result<CompiledRule> RuleCompiler::Compile(const Rule& rule,
   return out;
 }
 
-std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled,
-                        bool strict_types) {
+std::string ExplainRule(const CompiledRule& rule, bool strict_types,
+                        std::optional<uint64_t> qsqr_call) {
   std::ostringstream os;
   os << "rule " << (rule.name.empty() ? rule.head_predicate : rule.name)
      << " (" << rule.num_vars << " variable"
@@ -435,6 +435,14 @@ std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled,
   }
 
   std::set<int> bound;
+  if (qsqr_call.has_value()) {
+    for (size_t i = 0; i < rule.head.size() && i < 64; ++i) {
+      const CompiledHeadTerm& ht = rule.head[i];
+      if ((*qsqr_call >> i & 1) && ht.kind == CompiledHeadTerm::Kind::kVar) {
+        bound.insert(ht.var);
+      }
+    }
+  }
   for (size_t i = 0; i < rule.steps.size(); ++i) {
     const CompiledStep& step = rule.steps[i];
     const CompiledLiteral& lit = step.literal;
@@ -468,16 +476,19 @@ std::string ExplainRule(const CompiledRule& rule, bool merge_join_enabled,
         os << term_name(lit.args[a]);
       }
       os << ")";
-      // Mirror the evaluator's access path: a merge join when the bound
-      // positions form a contiguous prefix (binary search over sorted
+      // Mirror the engine's access path: bottom-up, a merge join when the
+      // bound positions form a contiguous prefix (binary search over sorted
       // segments), else a multi-column hash index probe on every bound
-      // position, else a full scan.
+      // position; under QSQR always the hash index; with nothing bound, a
+      // full scan.
       std::vector<size_t> probe_positions;
       for (size_t a = 0; a < lit.args.size() && a < 64; ++a) {
-        if (step.bound_mask >> a & 1) probe_positions.push_back(a);
+        const CompiledTerm& t = lit.args[a];
+        if (!t.is_var || bound.count(t.var)) probe_positions.push_back(a);
       }
-      const char* strategy =
-          step.merge_eligible && merge_join_enabled ? "merge join" : "index probe";
+      const char* strategy = step.merge_eligible && !qsqr_call.has_value()
+                                 ? "merge join"
+                                 : "index probe";
       if (probe_positions.size() == 1) {
         os << "  [" << strategy << " on argument " << (probe_positions[0] + 1)
            << "]";

@@ -101,14 +101,14 @@ struct CompiledStep {
   /// when this step runs: a constant, or a variable first bound by an
   /// earlier step. (Earlier steps always bind all their variables before
   /// control reaches this step, so the mask is exact, not approximate.)
-  /// Positions >= 64 are never marked. The evaluator probes the
-  /// Interpretation multi-column index keyed on (predicate, this mask).
+  /// Positions >= 64 are never marked. The bottom-up evaluator probes by
+  /// this mask (QSQR derives its own at run time, head bindings included).
   uint64_t bound_mask = 0;
-  /// True iff the bound positions form a non-empty contiguous prefix of the
-  /// literal's arguments (bound_mask = 0b0...01...1) — the shape the sorted
-  /// columnar segments can answer by binary search. The evaluator then uses
-  /// a merge join instead of building a hash index; with merge joins
-  /// disabled (or for ineligible steps) it falls back to LookupMulti.
+  /// True iff this is a relational literal whose bound positions form a
+  /// non-empty contiguous prefix of its arguments (bound_mask =
+  /// 0b0...01...1) — the shape the sorted columnar segments answer by
+  /// binary search. The bottom-up evaluator merge-joins such steps and
+  /// probes the hash index (LookupMulti) for every other bound step.
   bool merge_eligible = false;
   /// For a builtin class literal whose variable no earlier step binds: the
   /// sources that can narrow its enumeration, index lookups before temporal
@@ -205,12 +205,14 @@ class RuleCompiler {
 /// path each literal will use (merge join vs. hash index probe vs. scan vs.
 /// class-literal source vs. domain enumeration), and where each constraint
 /// is checked. The EXPLAIN facility behind the shell's `.explain` command.
-/// `merge_join_enabled` and `strict_types` mirror the EvalOptions fields of
-/// the same names so the rendered strategy matches what the engines will
-/// actually run.
-std::string ExplainRule(const CompiledRule& rule,
-                        bool merge_join_enabled = true,
-                        bool strict_types = false);
+/// `strict_types` mirrors the EvalOptions field. Without `qsqr_call` the
+/// plan is the bottom-up engines'. With it, the plan is QSQR's for a call
+/// binding the head positions set in the mask: head unification binds
+/// those variables before the first step, and every bound literal probes
+/// the hash index, since QSQR's memo grows between probes and has no
+/// sealed segments to merge-join on.
+std::string ExplainRule(const CompiledRule& rule, bool strict_types = false,
+                        std::optional<uint64_t> qsqr_call = std::nullopt);
 
 }  // namespace vqldb
 

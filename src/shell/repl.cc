@@ -358,19 +358,6 @@ std::string Repl::Meta(const std::string& command,
     }
     return "usage: .reorder [on|off]\n";
   }
-  if (command == ".mergejoin") {
-    if (argument.empty()) {
-      return std::string("merge joins: ") +
-             (session_.options().merge_join ? "on" : "off") + "\n";
-    }
-    if (argument == "on" || argument == "off") {
-      // A pure performance switch: both strategies produce identical
-      // answers, so cached fixpoints and query-cache entries stay valid.
-      session_.mutable_options()->merge_join = argument == "on";
-      return "merge joins: " + argument + "\n";
-    }
-    return "usage: .mergejoin [on|off]\n";
-  }
   if (command == ".storage") {
     if (!argument.empty()) return "usage: .storage\n";
     return Storage();
@@ -631,8 +618,6 @@ std::string Repl::Help() const {
       "                    execution strategy (auto = by the goal's cone:\n"
       "                    qsqr if non-recursive, magic if recursive)\n"
       "  .reorder [on|off] stats-driven body-literal reordering (default off)\n"
-      "  .mergejoin [on|off]\n"
-      "                    sorted-segment merge joins (default on; off = hash)\n"
       "  .storage          columnar storage + dictionary statistics\n"
       "  .cache [on|off|clear]\n"
       "                    memoizing query cache (epoch-invalidated)\n"

@@ -1,6 +1,6 @@
 // Columnar segment tests: Build/Merge determinism, EqualRange (including the
 // first-column run directory), sealed-probe semantics over segments plus the
-// unsealed tail, compaction behavior, wide-row (arity > 64) sorted probes,
+// unsealed tail, compaction behavior, wide-row (arity > 64) hash probes,
 // and the seal digest's independence from evaluation thread count.
 
 #include "src/engine/columnar.h"
@@ -154,18 +154,19 @@ TEST(ColumnarProbeTest, ProbeSortedCoversSegmentsAndTail) {
   interp.SealSegments();
   interp.Add(F("edge", {1, 4}));  // unsealed tail
 
+  Interpretation::RelationView edge = interp.Relation("edge");
   uint32_t key[] = {Id(1)};
   std::vector<size_t> out;
-  interp.ProbeSorted("edge", key, 1, 2, &out);
+  edge.ProbeSorted(key, 1, 2, &out);
   // Ascending insertion-order positions, spanning sealed rows and the tail.
   EXPECT_EQ(out, (std::vector<size_t>{0, 2, 3}));
 
   uint32_t full[] = {Id(1), Id(3)};
-  interp.ProbeSorted("edge", full, 2, 2, &out);
+  edge.ProbeSorted(full, 2, 2, &out);
   EXPECT_EQ(out, (std::vector<size_t>{2}));
 
   uint32_t miss[] = {Id(9)};
-  interp.ProbeSorted("edge", miss, 1, 2, &out);
+  edge.ProbeSorted(miss, 1, 2, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -186,8 +187,8 @@ TEST(ColumnarProbeTest, RepeatedSealsCompactAndStayCorrect) {
     uint32_t key[] = {Id(v)};
     std::vector<size_t> a;
     std::vector<size_t> b;
-    sealed.ProbeSorted("r", key, 1, 3, &a);
-    plain.ProbeSorted("r", key, 1, 3, &b);
+    sealed.Relation("r").ProbeSorted(key, 1, 3, &a);
+    plain.Relation("r").ProbeSorted(key, 1, 3, &b);
     EXPECT_EQ(a, b) << "key " << v;
   }
 }
@@ -197,18 +198,18 @@ TEST(ColumnarProbeTest, MixedAritiesProbeIndependently) {
   interp.Add(F("p", {1, 2}));
   interp.Add(F("p", {1, 2, 3}));
   interp.SealSegments();
+  Interpretation::RelationView p = interp.Relation("p");
   uint32_t key[] = {Id(1)};
   std::vector<size_t> out;
-  interp.ProbeSorted("p", key, 1, 2, &out);
+  p.ProbeSorted(key, 1, 2, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0}));
-  interp.ProbeSorted("p", key, 1, 3, &out);
+  p.ProbeSorted(key, 1, 3, &out);
   EXPECT_EQ(out, (std::vector<size_t>{1}));
 }
 
 // ---------------------------------------------------------------------------
-// Wide rows: the arity > 64 LookupMulti fast path answers contiguous-prefix
-// masks by sorted-segment binary search with the same reference-validity
-// contract as the hash indexes.
+// Wide rows: arity > 64 relations take the hash index like any other, keyed
+// on their first 64 positions, whether their rows are sealed or not.
 
 Fact WideFact(int64_t head, int64_t second) {
   Fact f;
@@ -219,7 +220,7 @@ Fact WideFact(int64_t head, int64_t second) {
   return f;
 }
 
-TEST(ColumnarProbeTest, WideRowPrefixMasksUseSortedProbes) {
+TEST(ColumnarProbeTest, WideRowPrefixMasksProbeSealedAndTailRows) {
   Interpretation interp;
   interp.Add(WideFact(1, 10));
   interp.Add(WideFact(2, 20));
@@ -247,7 +248,7 @@ TEST(ColumnarProbeDeathTest, AddWhileHoldingWideProbeReferenceDies) {
   const auto& ref = interp.LookupMulti("wide", 0b1, {Value::Int(1)});
   ASSERT_EQ(ref.size(), 1u);
   // Freeze turns an insert-while-iterating violation into a loud death at
-  // the mutation site — identical contract to the hash-index path.
+  // the mutation site.
   interp.Freeze();
   EXPECT_DEATH(interp.Add(WideFact(3, 30)), "frozen");
 }
@@ -280,7 +281,6 @@ TEST(ColumnarDeterminismTest, SealedDigestsAgreeAcrossThreadCounts) {
     for (const Rule* r : program->Rules()) rules.push_back(*r);
     EvalOptions options;
     options.num_threads = num_threads;
-    options.merge_join = true;
     auto eval = Evaluator::Make(&db, rules, options);
     VQLDB_CHECK(eval.ok());
     auto fp = eval->Fixpoint();

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "src/engine/query.h"
 #include "src/engine/rule_compiler.h"
 #include "src/lang/parser.h"
 #include "src/shell/repl.h"
@@ -109,8 +112,7 @@ TEST(ExplainTest, StrictTypesScanTheObjectDomain) {
   ASSERT_TRUE(rule.ok()) << rule.status();
   auto compiled = RuleCompiler::Compile(*rule, db, false);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  std::string plan = ExplainRule(*compiled, /*merge_join_enabled=*/true,
-                                 /*strict_types=*/true);
+  std::string plan = ExplainRule(*compiled, /*strict_types=*/true);
   EXPECT_NE(plan.find("2. enumerate Interval(G2)  [scan object domain]"),
             std::string::npos)
       << plan;
@@ -132,21 +134,141 @@ TEST(ExplainTest, IndexProbeOnBoundArgument) {
             std::string::npos);
 }
 
-TEST(ExplainTest, HashProbeWhenMergeJoinsDisabledOrNonPrefix) {
+TEST(ExplainTest, IndexProbeWhenBoundPositionsAreNotAPrefix) {
   VideoDatabase db;
   ASSERT_TRUE(db.CreateEntity("a").ok());
-  // Same plan with merge joins off: the hash index probe is reported.
+  // A bound position that is not a contiguous prefix (argument 2 only)
+  // cannot take the merge path.
+  std::string gap = Explain(db, "to_a(X) <- edge(X, a).");
+  EXPECT_NE(gap.find("[index probe on argument 2]"), std::string::npos);
+}
+
+TEST(ExplainTest, QsqrCallsProbeTheIndexFromTheBoundHead) {
+  VideoDatabase db;
+  ASSERT_TRUE(db.CreateEntity("a").ok());
   auto rule = Parser::ParseRule("from_a(Y) <- edge(a, Y), edge(Y, Z).");
   ASSERT_TRUE(rule.ok()) << rule.status();
   auto compiled = RuleCompiler::Compile(*rule, db, false);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  std::string plan = ExplainRule(*compiled, /*merge_join_enabled=*/false);
+  // QSQR probes its memo's hash index even on a bound prefix.
+  std::string plan = ExplainRule(*compiled, false, /*qsqr_call=*/0);
   EXPECT_NE(plan.find("match edge(id1, Y)  [index probe on argument 1]"),
-            std::string::npos);
-  // A bound position that is not a contiguous prefix (argument 2 only)
-  // cannot take the merge path even with merge joins on.
-  std::string gap = Explain(db, "to_a(X) <- edge(X, a).");
-  EXPECT_NE(gap.find("[index probe on argument 2]"), std::string::npos);
+            std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("merge join"), std::string::npos) << plan;
+
+  // A call binding the head's argument binds Y before the first step.
+  auto hop = Parser::ParseRule("hop(X, Z) <- e(X, Y), f(Y, Z).");
+  ASSERT_TRUE(hop.ok()) << hop.status();
+  auto hop_compiled = RuleCompiler::Compile(*hop, db, false);
+  ASSERT_TRUE(hop_compiled.ok()) << hop_compiled.status();
+  std::string bottom_up = ExplainRule(*hop_compiled);
+  EXPECT_NE(bottom_up.find("1. match e(X, Y)  [full scan]"), std::string::npos)
+      << bottom_up;
+  std::string top_down = ExplainRule(*hop_compiled, false, /*qsqr_call=*/0b01);
+  EXPECT_NE(top_down.find("1. match e(X, Y)  [index probe on argument 1]"),
+            std::string::npos)
+      << top_down;
+  EXPECT_NE(top_down.find("2. match f(Y, Z)  [index probe on argument 1]"),
+            std::string::npos)
+      << top_down;
+}
+
+TEST(ExplainTest, SessionRendersTheGoalBindingsQsqrRuns) {
+  VideoDatabase db;
+  QuerySession session(&db);
+  ASSERT_TRUE(session
+                  .Load("object o1 { }. e(1, 2). f(2, 3). "
+                        "hop(X, Z) <- e(X, Y), f(Y, Z). "
+                        "in_g(O, G) <- Interval(G), Object(O), "
+                        "O in G.entities.")
+                  .ok());
+  auto hop = session.Explain("?- hop(1, Z).", /*analyze=*/false);
+  ASSERT_TRUE(hop.ok()) << hop.status();
+  EXPECT_NE(hop->find("strategy: qsqr"), std::string::npos) << *hop;
+  EXPECT_NE(hop->find("1. match e(X, Y)  [index probe on argument 1]"),
+            std::string::npos)
+      << *hop;
+  // Class-literal sources follow the same bindings: the goal's constant
+  // binds O, so Interval(G) reads the entity index and Object(O) checks.
+  auto in_g = session.Explain("?- in_g(o1, G).", /*analyze=*/false);
+  ASSERT_TRUE(in_g.ok()) << in_g.status();
+  EXPECT_NE(in_g->find("1. enumerate Interval(G)  [entity index on O]"),
+            std::string::npos)
+      << *in_g;
+  EXPECT_NE(in_g->find("2. check Object(O)"), std::string::npos) << *in_g;
+  // Forced bottom-up, nothing is bound on entry.
+  session.mutable_options()->strategy = EvalStrategy::kFixpoint;
+  auto fixpoint = session.Explain("?- hop(1, Z).", /*analyze=*/false);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.status();
+  EXPECT_NE(fixpoint->find("1. match e(X, Y)  [full scan]"), std::string::npos)
+      << *fixpoint;
+  EXPECT_NE(fixpoint->find("2. match f(Y, Z)  [merge join on argument 1]"),
+            std::string::npos)
+      << *fixpoint;
+}
+
+// Counts occurrences of `needle` in `text`.
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// The merge-join and hash probe counts of EXPLAIN ANALYZE's `join strategy:`
+// line.
+std::pair<size_t, size_t> JoinCounts(const std::string& text) {
+  size_t at = text.find("join strategy: ");
+  EXPECT_NE(at, std::string::npos) << text;
+  unsigned long merge = 0, hash = 0;
+  EXPECT_EQ(std::sscanf(text.c_str() + at,
+                        "join strategy: %lu merge-join probes, %lu hash probes",
+                        &merge, &hash),
+            2)
+      << text;
+  return {merge, hash};
+}
+
+TEST(ExplainTest, AnalyzeTagsAgreeWithTheJoinCounts) {
+  VideoDatabase db;
+  QuerySession session(&db);
+  session.set_cache_enabled(false);
+  ASSERT_TRUE(session
+                  .Load("object a { }. object b { }. e(a, b). e(b, a). "
+                        "p(X, Y) <- e(X, Y), e(Y, X). "
+                        "q(X) <- e(X, Y), e(Z, Y).")
+                  .ok());
+  // QSQR: the scan of e(X, Y) counts nothing; e(Y, X) probes the hash
+  // index once per row of e.
+  auto qsqr = session.Explain("?- p(X, Y).", /*analyze=*/true);
+  ASSERT_TRUE(qsqr.ok()) << qsqr.status();
+  EXPECT_NE(qsqr->find("strategy: qsqr"), std::string::npos) << *qsqr;
+  EXPECT_NE(qsqr->find("1. match e(X, Y)  [full scan]"), std::string::npos)
+      << *qsqr;
+  EXPECT_NE(qsqr->find("2. match e(Y, X)  [index probe on arguments 1,2]"),
+            std::string::npos)
+      << *qsqr;
+  EXPECT_EQ(Count(*qsqr, "[merge join"), 0u) << *qsqr;
+  EXPECT_EQ(JoinCounts(*qsqr), std::make_pair(size_t{0}, size_t{2})) << *qsqr;
+
+  // Forced fixpoint: every rule runs, p's bound prefix merge-joins and q's
+  // non-prefix binding probes the hash index, each once per row of e.
+  session.mutable_options()->strategy = EvalStrategy::kFixpoint;
+  auto fixpoint = session.Explain("?- p(X, Y).", /*analyze=*/true);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.status();
+  EXPECT_NE(fixpoint->find("2. match e(Y, X)  [merge join on arguments 1,2]"),
+            std::string::npos)
+      << *fixpoint;
+  EXPECT_NE(fixpoint->find("2. match e(Z, Y)  [index probe on argument 2]"),
+            std::string::npos)
+      << *fixpoint;
+  EXPECT_EQ(Count(*fixpoint, "[merge join"), 1u) << *fixpoint;
+  EXPECT_EQ(Count(*fixpoint, "[index probe"), 1u) << *fixpoint;
+  EXPECT_EQ(JoinCounts(*fixpoint), std::make_pair(size_t{2}, size_t{2}))
+      << *fixpoint;
 }
 
 TEST(ExplainTest, FullScanWhenNothingBound) {

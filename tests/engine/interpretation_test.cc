@@ -35,7 +35,7 @@ TEST(InterpretationTest, FactsForPreservesInsertionOrder) {
 TEST(InterpretationTest, UnknownPredicateEmpty) {
   Interpretation interp;
   EXPECT_TRUE(interp.FactsFor("nope").empty());
-  EXPECT_TRUE(interp.Lookup("nope", 0, Value::Int(1)).empty());
+  EXPECT_TRUE(interp.LookupMulti("nope", 0b1, {Value::Int(1)}).empty());
 }
 
 TEST(InterpretationTest, LookupIndexesByPosition) {
@@ -43,28 +43,28 @@ TEST(InterpretationTest, LookupIndexesByPosition) {
   interp.Add(F("edge", {1, 2}));
   interp.Add(F("edge", {1, 3}));
   interp.Add(F("edge", {2, 3}));
-  EXPECT_EQ(interp.Lookup("edge", 0, Value::Int(1)).size(), 2u);
-  EXPECT_EQ(interp.Lookup("edge", 1, Value::Int(3)).size(), 2u);
-  EXPECT_TRUE(interp.Lookup("edge", 0, Value::Int(9)).empty());
+  EXPECT_EQ(interp.LookupMulti("edge", 0b01, {Value::Int(1)}).size(), 2u);
+  EXPECT_EQ(interp.LookupMulti("edge", 0b10, {Value::Int(3)}).size(), 2u);
+  EXPECT_TRUE(interp.LookupMulti("edge", 0b01, {Value::Int(9)}).empty());
 }
 
 TEST(InterpretationTest, LookupIndexExtendsIncrementally) {
   Interpretation interp;
   interp.Add(F("p", {1}));
-  EXPECT_EQ(interp.Lookup("p", 0, Value::Int(1)).size(), 1u);
+  EXPECT_EQ(interp.LookupMulti("p", 0b1, {Value::Int(1)}).size(), 1u);
   interp.Add(F("q", {1}));
   Fact another = F("p", {1});
   another.args.push_back(Value::Int(9));  // p(1, 9)
   interp.Add(another);
   // The index extends over facts added after the first lookup.
-  EXPECT_EQ(interp.Lookup("p", 0, Value::Int(1)).size(), 2u);
+  EXPECT_EQ(interp.LookupMulti("p", 0b1, {Value::Int(1)}).size(), 2u);
 }
 
 TEST(InterpretationTest, NumericCrossKindLookup) {
   Interpretation interp;
   interp.Add(F("p", {2}));
   // Int(2) and Double(2.0) are Compare-equal and hash-equal.
-  EXPECT_EQ(interp.Lookup("p", 0, Value::Double(2.0)).size(), 1u);
+  EXPECT_EQ(interp.LookupMulti("p", 0b1, {Value::Double(2.0)}).size(), 1u);
 }
 
 TEST(InterpretationTest, PredicatesSorted) {
@@ -138,19 +138,6 @@ TEST(InterpretationTest, PrepareIndexMatchesLazyLookups) {
   EXPECT_TRUE(interp.LookupMulti("short", 0b10, {Value::Int(7)}).empty());
 }
 
-TEST(InterpretationTest, LookupMultiMaskZeroIsFullScan) {
-  Interpretation interp;
-  for (int64_t i = 0; i < 6; ++i) interp.Add(F("p", {i, i * 10}));
-  // Nothing bound: every fact matches, whatever key the caller passed.
-  EXPECT_EQ(interp.LookupMulti("p", 0, {}).size(), 6u);
-  EXPECT_EQ(interp.LookupMulti("p", 0, {Value::Int(3)}).size(), 6u);
-  // The mask-0 index extends like any other as the relation grows.
-  interp.Add(F("p", {6, 60}));
-  EXPECT_EQ(interp.LookupMulti("p", 0, {}).size(), 7u);
-  // Unknown predicates still return the canonical empty index.
-  EXPECT_TRUE(interp.LookupMulti("nope", 0, {}).empty());
-}
-
 TEST(InterpretationTest, ArityBeyondSixtyFourIsStructured) {
   // Facts wider than the 64-bit position bitmap index by their first 64
   // positions; probes at representable positions stay exact and shifting
@@ -182,8 +169,6 @@ TEST(InterpretationTest, ArityBeyondSixtyFourIsStructured) {
   const auto& both =
       interp.LookupMulti("wide", mask, {Value::Int(2), Value::Int(200)});
   EXPECT_EQ(both.size(), 2u);
-  // Mask 0 over wide facts degrades to the full scan as well.
-  EXPECT_EQ(interp.LookupMulti("wide", 0, {}).size(), 3u);
 }
 
 TEST(InterpretationTest, GenerationAdvancesOnlyOnRealInsertions) {
@@ -199,15 +184,15 @@ TEST(InterpretationTest, GenerationAdvancesOnlyOnRealInsertions) {
 
 TEST(InterpretationTest, ReprobeAfterAddSeesCompleteCandidateSet) {
   // The documented contract for holding index references across Add: copy
-  // or re-probe. A re-probe (fresh Lookup call) always returns the full,
-  // current candidate list.
+  // or re-probe. A re-probe (fresh LookupMulti call) always returns the
+  // full, current candidate list.
   Interpretation interp;
   interp.Add(F("e", {1, 2}));
-  EXPECT_EQ(interp.Lookup("e", 0, Value::Int(1)).size(), 1u);
+  EXPECT_EQ(interp.LookupMulti("e", 0b1, {Value::Int(1)}).size(), 1u);
   uint64_t gen = interp.generation();
   interp.Add(F("e", {1, 3}));
   EXPECT_NE(interp.generation(), gen);  // the staleness signal
-  EXPECT_EQ(interp.Lookup("e", 0, Value::Int(1)).size(), 2u);
+  EXPECT_EQ(interp.LookupMulti("e", 0b1, {Value::Int(1)}).size(), 2u);
 }
 
 TEST(InterpretationDeathTest, AddWhileFrozenDies) {

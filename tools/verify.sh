@@ -21,10 +21,11 @@
 #    tools/governor_test then runs the 250-iteration seeded fault-injection
 #    gauntlet and the multi-threaded overload run, asserting
 #    submitted == completed + shed with no corrupted state.
-# 6. Columnar smoke: a join-heavy scripted vql run with and without
-#    --no-merge-join must print byte-identical answers (merge joins are a
-#    pure access-path change), and EXPLAIN ANALYZE must surface the join
-#    strategy counters.
+# 6. Columnar smoke: a join-heavy scripted vql run under
+#    --strategy=fixpoint (merge joins on bound prefixes) and under
+#    --strategy=qsqr (hash-index probes only) must print byte-identical
+#    answers (the access path never changes an answer), and EXPLAIN
+#    ANALYZE must surface the join strategy counters.
 # 6a. Planner smoke: the same chain workload run under every forced
 #    --strategy= (qsqr, magic, fixpoint) and under auto must print
 #    byte-identical answers, --reorder must not change answers, EXPLAIN must
@@ -81,8 +82,9 @@
 #    `tsan` job runs that server section and the two archive tests.
 # 9. Configure + build with -DVQLDB_SANITIZE=undefined and run the QSQR,
 #    differential-oracle, strategy and magic-set property, answer-cache,
-#    rendered-answer, parser-fuzz and archive (shard merge offset
-#    arithmetic) tests under UBSan with halt_on_error=1, so any
+#    rendered-answer, parser-fuzz, archive (shard merge offset arithmetic),
+#    interpretation and columnar (bit-63 probe masks, wide rows, sorted
+#    probe offsets) tests under UBSan with halt_on_error=1, so any
 #    undefined-behaviour report fails the gate.
 set -euo pipefail
 
@@ -195,7 +197,7 @@ grep -q "strategy: fixpoint (forced" <(./build/tools/vql --strategy=fixpoint \
 echo "== planner bench gate: bench_planner series (auto's choices within 5% of best) =="
 (cd "$OBS_TMP" && "$OLDPWD/build/bench/bench_planner" >/dev/null)
 
-echo "== columnar smoke: join answers identical with --no-merge-join =="
+echo "== columnar smoke: merge-join fixpoint answers identical to QSQR's hash probes =="
 {
   for i in $(seq 0 40); do echo "object n$i { }."; done
   for i in $(seq 0 39); do echo "edge(n$i, n$(((i*7+3) % 41)))."; done
@@ -208,10 +210,10 @@ echo "== columnar smoke: join answers identical with --no-merge-join =="
 } > "$OBS_TMP/columnar.vql"
 ./build/tools/vql --strategy=fixpoint --no-cache <"$OBS_TMP/columnar.vql" \
     >"$OBS_TMP/columnar_merge.out"
-./build/tools/vql --strategy=fixpoint --no-cache --no-merge-join <"$OBS_TMP/columnar.vql" \
+./build/tools/vql --strategy=qsqr --no-cache <"$OBS_TMP/columnar.vql" \
     >"$OBS_TMP/columnar_hash.out"
 diff "$OBS_TMP/columnar_merge.out" "$OBS_TMP/columnar_hash.out" \
-  || { echo "merge-join answers diverge from the hash-index fixpoint"; exit 1; }
+  || { echo "merge-join fixpoint answers diverge from QSQR's hash probes"; exit 1; }
 grep -q "join strategy:" <(./build/tools/vql \
     <<< $'object a { }.\nobject b { }.\ne(a, b).\np(X, Y) <- e(X, Y).\nexplain analyze ?- p(X, Y).\n.quit') \
   || { echo "EXPLAIN ANALYZE is missing the join strategy line"; exit 1; }
@@ -489,11 +491,11 @@ echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
 UBSAN_TESTS=(qsqr_test differential_oracle_test strategy_property_test
              magic_sets_property_test planner_test query_cache_test
              rendered_query_test parser_fuzz_test archive_merge_test
-             shard_store_test)
+             shard_store_test interpretation_test columnar_test)
 cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
 
-echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz + archive merge =="
+echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz + archive merge + columnar probes =="
 for t in "${UBSAN_TESTS[@]}"; do
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
 done

@@ -25,9 +25,6 @@
 //                          instead of the written order (also: .reorder on)
 //   --no-cache             disable the memoizing query cache (also settable
 //                          at runtime: .cache on|off|clear)
-//   --no-merge-join        disable sorted-segment merge joins — every bound
-//                          literal probes the hash index instead; answers
-//                          are identical (also settable: .mergejoin on|off)
 //   --mem-limit-bytes=<n>  governed memory budget: queries whose working set
 //                          would exceed it fail with "Resource exhausted"
 //                          after the caches are shed, and the shell keeps
@@ -307,10 +304,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--no-cache") {
       no_cache = true;
-      continue;
-    }
-    if (arg == "--no-merge-join") {
-      options.merge_join = false;
       continue;
     }
     if (arg == "--threads") {
