@@ -190,8 +190,9 @@ std::string RenderJoinAnswers(QuerySession* session, EvalStrategy strategy) {
 ColumnarSample RunJoinWorkload(VideoDatabase* db, std::string* rendered) {
   EvalOptions options;
   options.num_threads = 1;  // isolate the join path from scheduling noise
+  // The session's cache stays on: it keeps the materialized fixpoint that
+  // RenderJoinAnswers reads.
   QuerySession session(db, options);
-  session.set_cache_enabled(false);
   VQLDB_CHECK_OK(session.Load(kJoinProgram));
   auto begin = std::chrono::steady_clock::now();
   auto interp = session.Materialize();
@@ -334,15 +335,31 @@ void BM_RecursiveFixpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_RecursiveFixpoint)->Unit(benchmark::kMillisecond);
 
+// Every entity's cooccur(<entity>, O2, G), answered under forced full
+// materialization from a fixpoint materialized outside the timed region:
+// each iteration takes a new session, whose cache holds the fixpoint and
+// no answer, so each goal reads the cached fixpoint.
 void BM_CachedQueryAfterMaterialize(benchmark::State& state) {
   auto db = Archive(16);
-  QuerySession session(db.get());
-  VQLDB_CHECK_OK(session.Load(kProgram));
-  VQLDB_CHECK_OK(session.Materialize().status());
-  for (auto _ : state) {
-    auto r = session.Query("?- cooccur(O1, O2, G).");
-    benchmark::DoNotOptimize(r);
+  std::vector<std::string> goals;
+  for (ObjectId entity : db->Entities()) {
+    goals.push_back("?- cooccur(" + *db->SymbolOf(entity) + ", O2, G).");
   }
+  std::unique_ptr<QuerySession> session;
+  for (auto _ : state) {
+    state.PauseTiming();
+    session.reset();
+    session = std::make_unique<QuerySession>(db.get());
+    session->mutable_options()->strategy = EvalStrategy::kFixpoint;
+    VQLDB_CHECK_OK(session->Load(kProgram));
+    VQLDB_CHECK_OK(session->Materialize().status());
+    state.ResumeTiming();
+    for (const std::string& goal : goals) {
+      auto r = session->Query(goal);
+      benchmark::DoNotOptimize(r);
+    }
+  }
+  state.counters["goals"] = static_cast<double>(goals.size());
 }
 BENCHMARK(BM_CachedQueryAfterMaterialize);
 

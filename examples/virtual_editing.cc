@@ -72,7 +72,6 @@ int main() {
   auto reel_gi = MaterializeSequence(&db, "interview_reel", *reel,
                                      {shared->rows[0][0].oid_value()});
   VQLDB_CHECK_OK(reel_gi.status());
-  session.Invalidate();
 
   // The same result, derived *inside* the language with a constructive
   // rule (Section 6.2's concatenate_Gintervals).

@@ -124,8 +124,8 @@ struct EvalOptions {
   /// Status::ResourceExhausted at the same cooperative poll points as the
   /// deadline — partial stats still publish, and the database is left
   /// exactly as the caller's rollback anchor (QuerySession) restores it.
-  /// Shared so the reservation outlives the evaluation when its fixpoint
-  /// interpretation is cached.
+  /// The fixpoint interpretation keeps its reservation until it is dropped,
+  /// or until the query cache stores it and charges it itself.
   std::shared_ptr<ResourceBudget> budget;
 };
 

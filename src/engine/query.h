@@ -4,8 +4,8 @@
 // of the rules over the database.
 //
 // Query execution is goal-directed by default: Run() first consults a
-// memoizing query cache (src/engine/query_cache.h: keyed on the goal's
-// shape, its bound values, and the database/rule epochs, so entries can
+// memoizing cache (src/engine/query_cache.h: keyed on the goal's shape, its
+// bound values, and the database/rule epochs and options, so entries can
 // never outlive the state they were computed against; sessions over one
 // database may share one), then analyzes the goal once (goal_analysis.h)
 // and runs the strategy EvalOptions::strategy names, under kAuto the one
@@ -13,6 +13,7 @@
 // non-recursive cone, the magic-set rewrite (src/engine/magic.h) for a
 // recursive one or a goal observing sys_* relations, and the full fixpoint
 // when goal direction declines. All three produce identical answer sets.
+// The full fixpoint is cached there too, under a key with no goal.
 //
 // Answers come back two ways. Run() and Query() return values, decoded from
 // the cache on a hit. QueryRendered() (the server) and RunRendered() (the
@@ -85,10 +86,10 @@ struct QueryExecInfo {
 
 /// A stateful session over one database.
 ///
-/// Fixpoints are cached between queries and invalidated when rules are
-/// added. Mutating the database outside the session requires Invalidate()
-/// only for the full-materialization cache; the query cache keys on the
-/// database's mutation epoch and rules epoch and invalidates itself.
+/// Answers and the materialized fixpoint are cached between queries under
+/// the database's mutation epoch, the rules epoch and the options they
+/// depend on: a write through any path, an added rule or a changed option
+/// retires them, with no call from the caller.
 class QuerySession {
  public:
   /// `cache` is the answer cache to consult and fill; null gives the session
@@ -153,32 +154,24 @@ class QuerySession {
   /// serves from or stores into the query cache.
   Result<std::string> Explain(std::string_view query_text, bool analyze);
 
-  /// The materialized least fixpoint (computing it if stale).
-  Result<const Interpretation*> Materialize();
+  /// The least fixpoint over the current database: the cache's entry, else
+  /// evaluated and stored there. Shared: another session sharing the cache
+  /// may evict the entry meanwhile.
+  Result<std::shared_ptr<const Interpretation>> Materialize();
 
-  /// Drops the cached fixpoint and the query cache (required after external
-  /// db mutation for the former; the latter is epoch-keyed and cleared here
-  /// only for belt-and-braces hygiene, e.g. after option changes). Adding
-  /// rules drops only the fixpoint: the rules epoch in the cache key already
-  /// retires older answers, and a shared cache keeps what other sessions
-  /// stored.
-  void Invalidate() {
-    fixpoint_cache_.reset();
-    ClearQueryCache();
-  }
+  // ----------------------------------------------------------------- cache
 
-  // ----------------------------------------------------------- query cache
-
+  /// Whether Run() and Materialize() read and fill the cache.
   bool cache_enabled() const { return cache_enabled_; }
   void set_cache_enabled(bool on) { cache_enabled_ = on; }
+  /// Drops every entry, for every session sharing the cache.
   void ClearQueryCache() { cache_->Clear(); }
+  /// Entries and the bytes they occupy, the fixpoint's included.
   size_t query_cache_size() const { return cache_->size(); }
-
-  /// Bytes the cached answer rows currently occupy.
   size_t query_cache_bytes() const { return cache_->bytes(); }
-  /// Byte budget for the query cache: storing past it evicts LRU entries
-  /// first (the entry cap stays as a secondary bound), and an answer larger
-  /// than the whole budget is simply not cached.
+  /// Byte budget for the cache: storing past it evicts LRU entries first
+  /// (the entry cap stays as a secondary bound), and an answer or fixpoint
+  /// larger than the whole budget is simply not cached.
   size_t cache_max_bytes() const { return cache_->max_bytes(); }
   void set_cache_max_bytes(size_t bytes) { cache_->set_max_bytes(bytes); }
 
@@ -186,13 +179,13 @@ class QuerySession {
 
   /// Installs a session-wide resource governor. Each Run() creates a
   /// per-query child budget parented to it, so concurrent queries share the
-  /// global headroom; cached answers (query cache, fixpoint cache) keep
-  /// their byte reservations until evicted. A shared query cache charges the
-  /// governor installed last by any of its sessions. When a query trips the
-  /// governor, Run() degrades gracefully: shed every cache, clear the trip,
+  /// global headroom; cache entries (answers and the fixpoint) keep their
+  /// byte reservations until evicted. A shared cache charges the governor
+  /// installed last by any of its sessions. When a query trips the
+  /// governor, Run() degrades gracefully: shed the cache, clear the trip,
   /// retry once, and only then fail with ResourceExhausted. A governed
   /// failure never mutates the database (derived intervals materialized by
-  /// the failed evaluation are rolled back). Drops existing caches.
+  /// the failed evaluation are rolled back). Drops existing entries.
   void set_governor(std::shared_ptr<ResourceBudget> governor);
   const std::shared_ptr<ResourceBudget>& governor() const {
     return governor_;
@@ -235,9 +228,8 @@ class QuerySession {
   VideoDatabase* database() { return db_; }
   const EvalStats& last_stats() const { return last_stats_; }
 
-  /// Evaluation options for subsequent materializations. Changing
-  /// `num_threads` needs no Invalidate(): the fixpoint is thread-count
-  /// invariant; other option changes affect semantics and do.
+  /// Evaluation options for subsequent queries. The ones answers depend on
+  /// are part of every cache key, so a change takes effect at once.
   const EvalOptions& options() const { return options_; }
   EvalOptions* mutable_options() { return &options_; }
 
@@ -272,6 +264,9 @@ class QuerySession {
                                       const struct Query& query);
   Result<QueryResult> RunUncached(const struct Query& query);
   Result<QueryResult> RunMaterialized(const struct Query& query);
+  /// Materialize(); with `system_facts`, a fresh fixpoint seeded with them.
+  Result<std::shared_ptr<const Interpretation>> Materialize(
+      const std::vector<Fact>* system_facts);
 
   /// Which form of the answer an execution hands back.
   enum class Render {
@@ -306,8 +301,8 @@ class QuerySession {
   /// True iff evaluating `goal` can observe a system relation: the goal
   /// predicate itself is sys_*, or some rule in the goal's dependency cone
   /// reads one in its body. Such queries are answered from a fresh
-  /// system-fact batch and bypass the query and fixpoint caches (system
-  /// state changes without bumping the database epoch).
+  /// system-fact batch and bypass the cache (system state changes without
+  /// bumping the database epoch).
   bool TouchesSystemRelations(const Atom& goal) const;
   /// Whether `rule`'s body reads a sys_* relation or a head in sys_heads_.
   bool ReadsSystemRelations(const Rule& rule) const;
@@ -326,15 +321,14 @@ class QuerySession {
   /// anchor: a governed failure (resource/deadline/cancel) unwinds any
   /// derived intervals the evaluation materialized.
   Result<QueryResult> RunGoverned(const struct Query& query);
-  /// Drops the query cache and the fixpoint cache, releasing their governor
-  /// reservations; returns the bytes freed (the shed-before-fail path).
-  size_t ShedCaches();
 
   /// The key of `query`'s entry in `order`; nullopt when the goal cannot
   /// be keyed (unresolvable symbol or a constructive term) — evaluation
   /// then reports the actual error.
   std::optional<QueryCache::Key> MakeCacheKey(const struct Query& query,
                                               RowOrder order) const;
+  /// The current state's fixpoint key, which every answer's key extends.
+  QueryCache::Key FixpointKey() const;
   uint64_t OptionsFingerprint() const;
 
   VideoDatabase* db_;
@@ -344,7 +338,6 @@ class QuerySession {
   /// reorder_body is on (RefreshPlanner); rebuilt per query so its
   /// statistics snapshot stays current.
   std::unique_ptr<Planner> planner_;
-  std::optional<Interpretation> fixpoint_cache_;
   EvalStats last_stats_;
   QueryExecInfo exec_info_;
 

@@ -6,6 +6,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/engine/interpretation.h"
 #include "src/model/term_dict.h"
 #include "src/obs/metrics.h"
 
@@ -268,29 +269,48 @@ std::shared_ptr<const RenderedRows> QueryCache::Store(
   const size_t bytes = sizeof(Entry) + sizeof(Answer) +
                        answer->ids.size() * sizeof(uint32_t) + dict_added +
                        answer->rendered.bytes();
+  Insert(std::move(key), Entry{answer, nullptr, bytes, {}});
+  // Stored or not, the caller gets its own rendering.
+  return RenderedOf(std::move(answer));
+}
 
+std::shared_ptr<const Interpretation> QueryCache::LookupFixpoint(
+    const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  // A racing identical store keeps the first; an answer larger than the
-  // whole byte budget is not stored. Either way the caller gets its own.
-  if (entries_.count(key) || bytes > max_bytes_) return RenderedOf(answer);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  lru_.splice(lru_.end(), lru_, it->second.lru_it);
+  return it->second.fixpoint;
+}
+
+std::shared_ptr<const Interpretation> QueryCache::StoreFixpoint(
+    Key key, Interpretation fixpoint) {
+  fixpoint.set_budget(nullptr);
+  auto stored = std::make_shared<const Interpretation>(std::move(fixpoint));
+  Insert(std::move(key),
+         Entry{nullptr, stored, stored->ApproxRowsBytes(), {}});
+  return stored;
+}
+
+void QueryCache::Insert(Key key, Entry entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A racing identical store keeps the first; an entry larger than the
+  // whole byte budget is not stored.
+  if (entries_.count(key) || entry.bytes > max_bytes_) return;
   // Byte budget first, entry cap as the secondary bound; LRU evicts first.
-  while (!lru_.empty() && (bytes_ + bytes > max_bytes_ ||
+  while (!lru_.empty() && (bytes_ + entry.bytes > max_bytes_ ||
                            entries_.size() >= kQueryCacheCapacity)) {
     EvictLocked(lru_.begin());
   }
   if (governor_ != nullptr) {
-    // Retained answers occupy governed memory. A trip here is benign: the
+    // Retained entries occupy governed memory. A trip here is benign: the
     // next governed query sheds the cache, clears the trip, and retries.
-    governor_->ChargeBytes(bytes);
+    governor_->ChargeBytes(entry.bytes);
   }
-  bytes_ += bytes;
+  bytes_ += entry.bytes;
   lru_.push_back(key);
-  Entry entry;
-  entry.answer = answer;
-  entry.bytes = bytes;
   entry.lru_it = std::prev(lru_.end());
   entries_.emplace(std::move(key), std::move(entry));
-  return RenderedOf(std::move(answer));
 }
 
 std::shared_ptr<const RenderedRows> QueryCache::RenderedOf(

@@ -13,11 +13,12 @@
 // (QuerySession::QueryRendered). A merge-ordered entry (RowOrder::kCells)
 // is what the archive scatter merges: its rows in cell-tuple order with
 // adjacent equal rows dropped, and no ids, since nothing decodes it. The
-// two kinds never share an entry. Entries are bounded twice: a byte budget
+// two kinds never share an entry; the materialized fixpoint is one more,
+// under a key with no goal. Entries are bounded twice: a byte budget
 // (16 MiB by default) evicts least-recently-used entries first, and a
 // 256-entry cap is the secondary bound. An entry's bytes count its ids and
-// its rendering; retained bytes are charged to the installed governor, if
-// any, until evicted.
+// its rendering (the fixpoint's, its rows); retained bytes are charged to
+// the installed governor, if any, until evicted.
 //
 // Thread-safe: one internal mutex guards the entries, so the sessions over
 // one database may share a cache; the snapshot layer shares one per
@@ -44,6 +45,8 @@
 #include "src/model/value.h"
 
 namespace vqldb {
+
+class Interpretation;
 
 /// Appends an answer header, "(N answers) [X, Y]", without its newline.
 void AppendAnswerHeader(size_t rows, const std::vector<std::string>& columns,
@@ -111,7 +114,7 @@ class RenderedRows {
 class QueryCache {
  public:
   struct Key {
-    std::string predicate;
+    std::string predicate;  // empty: the fixpoint's key
     std::string pattern;  // per argument: "c" or "v<canonical index>"
     std::vector<Value> bound_values;
     uint64_t db_epoch = 0;
@@ -148,6 +151,15 @@ class QueryCache {
       Key key, const std::vector<std::vector<Value>>& rows,
       size_t column_count, const VideoDatabase* db);
 
+  /// The fixpoint under `key` (one with no goal), refreshing its LRU
+  /// position, or null; counts neither a hit nor a miss, which count answers.
+  std::shared_ptr<const Interpretation> LookupFixpoint(const Key& key);
+  /// Stores `fixpoint` under `key` as Store() stores an answer, at its
+  /// ApproxRowsBytes(), releasing its evaluation budget first: the governor
+  /// is charged for it once, by the cache. Returns it, stored or not.
+  std::shared_ptr<const Interpretation> StoreFixpoint(
+      Key key, Interpretation fixpoint);
+
   /// Drops every entry, releasing their governor reservations.
   void Clear();
   /// Clear() that also counts the dropped entries and bytes as evictions
@@ -180,8 +192,10 @@ class QueryCache {
     RenderedRows rendered;
     std::vector<uint32_t> ids;
   };
+  /// An answer, or under a key with no goal the fixpoint.
   struct Entry {
     std::shared_ptr<const Answer> answer;
+    std::shared_ptr<const Interpretation> fixpoint;
     size_t bytes = 0;
     std::list<Key>::iterator lru_it;
   };
@@ -189,6 +203,8 @@ class QueryCache {
   /// The rendering inside `answer`, sharing its ownership.
   static std::shared_ptr<const RenderedRows> RenderedOf(
       std::shared_ptr<const Answer> answer);
+  /// Files `entry` under `key` as Store() describes.
+  void Insert(Key key, Entry entry);
   void ClearLocked();
   void EvictLocked(std::list<Key>::iterator it);
 

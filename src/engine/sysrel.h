@@ -78,12 +78,14 @@ struct SystemFactsInput {
   const VideoDatabase* db = nullptr;                     // sys_relations/...
   const obs::StatsSnapshot* stats = nullptr;             // collector snapshot
   const std::vector<obs::MetricSample>* metrics = nullptr;  // sys_metrics
-  // Query cache occupancy (sys_cache "query" row).
+  // Cache occupancy, every entry counted, the fixpoint's included
+  // (sys_cache "query" row).
   bool cache_enabled = false;
   size_t cache_entries = 0;
   size_t cache_bytes = 0;
   size_t cache_max_bytes = 0;
-  // Materialized-fixpoint cache (sys_cache "fixpoint" row).
+  // The cache's entry for the current state's fixpoint: whether it is
+  // present, and its bytes (sys_cache "fixpoint" row).
   bool fixpoint_cached = false;
   size_t fixpoint_bytes = 0;
   // Resource governance (sys_budget rows); either may be absent.

@@ -265,7 +265,6 @@ std::string Repl::Meta(const std::string& command,
       Status st = session_.AddRule(rule);
       if (!st.ok()) return "error: " + st.ToString() + "\n";
     }
-    session_.Invalidate();
     return "loaded " + argument + " (" +
            std::to_string(loaded->rules.size()) + " rules)\n";
   }
@@ -352,8 +351,6 @@ std::string Repl::Meta(const std::string& command,
     }
     if (argument == "on" || argument == "off") {
       session_.mutable_options()->reorder_body = argument == "on";
-      // Rules compile their literal order in; recompile on the next query.
-      session_.Invalidate();
       return "body reordering: " + argument + "\n";
     }
     return "usage: .reorder [on|off]\n";
@@ -620,7 +617,7 @@ std::string Repl::Help() const {
       "  .reorder [on|off] stats-driven body-literal reordering (default off)\n"
       "  .storage          columnar storage + dictionary statistics\n"
       "  .cache [on|off|clear]\n"
-      "                    memoizing query cache (epoch-invalidated)\n"
+      "                    answer and fixpoint cache (epoch-keyed)\n"
       "  .memlimit <bytes|off>\n"
       "                    governed memory budget (ResourceExhausted on trip)\n"
       "  .concurrency <n|off>\n"
@@ -659,7 +656,8 @@ std::string Repl::Stats() const {
 }
 
 std::string Repl::Storage() {
-  Result<const Interpretation*> interp = session_.Materialize();
+  Result<std::shared_ptr<const Interpretation>> interp =
+      session_.Materialize();
   if (!interp.ok()) return "error: " + interp.status().ToString() + "\n";
   Interpretation::StorageStats st = (*interp)->ComputeStorageStats();
   const TermDict& dict = TermDict::Global();

@@ -495,7 +495,7 @@ Status ShardedArchive::ApplyDataToShard(Shard& s,
   }
   s.facts.store(static_cast<int64_t>(s.db->fact_count()),
                 std::memory_order_relaxed);
-  s.session->Invalidate();
+  s.session->ClearQueryCache();  // no entry of the old epoch can hit again
   return Status::OK();
 }
 
@@ -656,24 +656,18 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
   // Each answering shard's rows, rendered shard-side (oids are shard-local)
   // in merge order. A cached answer is stored in that order, so a repeated
   // scan renders and sorts nothing; an answer that bypasses the cache
-  // (sys_* goals, a degraded scatter, an entry over budget) is rendered in
-  // it for this scan alone.
+  // (sys_* goals, an entry over budget) is rendered in it for this scan
+  // alone. An entry is keyed on its shard's epochs alone: the shard's
+  // complete answer, whatever its siblings' health.
   std::vector<std::shared_ptr<const RenderedRows>> runs;
   runs.reserve(shards_.size());
 
-  // Pre-scan shard health before touching any session. In strict mode a
-  // doomed scatter fails up front, before any shard runs (and caches) a
-  // per-shard answer for a query whose merged result was never produced.
-  // In partial mode the scatter is known-degraded from the start, so the
-  // live shards run with their query caches suppressed: a per-shard answer
-  // produced while a sibling was down must not be retained, because a
-  // cached entry carries no completeness report and a later hit would
-  // serve it as if the scatter had been complete.
+  // Pre-scan shard health before touching any session: in strict mode a
+  // doomed scatter fails up front, before any shard runs.
   const Shard* down = FirstUnavailable();
   if (down != nullptr && !options.allow_partial) {
     return Status::Unavailable(down->UnavailableMessage(down->State()));
   }
-  const bool degraded_scatter = down != nullptr;
 
   for (const auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
@@ -714,8 +708,6 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     }
 
     ++result.shards_targeted;
-    const bool cache_was_enabled = s.session->cache_enabled();
-    if (degraded_scatter) s.session->set_cache_enabled(false);
     // Layer the caller's deadline/cancel onto the shard session for this
     // scatter only; the session keeps its own options afterwards.
     EvalOptions* session_options = s.session->mutable_options();
@@ -728,7 +720,6 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
     session_options = s.session->mutable_options();
     session_options->deadline = saved_deadline;
     session_options->cancel = saved_cancel;
-    if (degraded_scatter) s.session->set_cache_enabled(cache_was_enabled);
     if (!answer.ok()) {
       if (answer.status().IsNotFound()) {
         // Shard-local vocabulary miss (e.g. a relation only other tenants
@@ -751,18 +742,6 @@ Result<ShardedArchive::ArchiveQueryResult> ShardedArchive::Query(
 
     Gather(std::move(*answer), &report, &result, &runs);
     result.reports.push_back(std::move(report));
-  }
-
-  // A shard can fail between the health pre-scan and its turn in the loop
-  // (or its Run itself can fail). Shards that answered before the failure
-  // cached their per-shard answers under a complete-scatter assumption —
-  // purge them so no entry stored during a partial scatter survives.
-  if (result.partial && !degraded_scatter) {
-    for (const auto& shard_ptr : shards_) {
-      Shard& s = *shard_ptr;
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.session != nullptr) s.session->ClearQueryCache();
-    }
   }
 
   // Deterministic merge: answers are independent of shard order, recovery

@@ -149,11 +149,7 @@ class ShardedArchive {
     /// whole query with Status::Unavailable — detected by a health pre-scan
     /// before any shard session runs. Opt-in partial mode: the query answers
     /// from the shards that can, and the result is marked partial with a
-    /// per-shard report. Per-shard answers produced during a partial scatter
-    /// are never stored in the per-shard query caches (a cached entry
-    /// carries no completeness report, so a later hit would serve it as
-    /// complete); a shard failing mid-scatter purges the sibling caches for
-    /// the same reason.
+    /// per-shard report.
     bool allow_partial = false;
 
     /// Per-request execution overrides from the service layer, applied to

@@ -117,7 +117,20 @@ TEST_F(ConstraintEdgeCasesTest, StrictTypesUpgradesAccessOnNonOid) {
   QuerySession strict(&db_, options);
   ASSERT_TRUE(
       strict.AddRule("deep(X) <- val(O, X), X.anything = 1.").ok());
-  EXPECT_TRUE(strict.Query("?- deep(X).").status().IsTypeError());
+  const Status fresh = strict.Query("?- deep(X).").status();
+  EXPECT_TRUE(fresh.IsTypeError());
+
+  // Strict types switched on after a lax fixpoint was materialized: the
+  // option is part of the cached fixpoint's key, so the session raises
+  // what a fresh strict session raises.
+  QuerySession flipped(&db_);
+  flipped.mutable_options()->strategy = EvalStrategy::kFixpoint;
+  ASSERT_TRUE(
+      flipped.AddRule("deep(X) <- val(O, X), X.anything = 1.").ok());
+  ASSERT_TRUE(flipped.Query("?- deep(X).").ok());
+  flipped.mutable_options()->strict_types = true;
+  EXPECT_EQ(flipped.Query("?- deep(X).").status().ToString(),
+            fresh.ToString());
 }
 
 TEST_F(ConstraintEdgeCasesTest, EntailmentTrivialities) {

@@ -466,7 +466,6 @@ void CheckGoals(const Scenario& s, QuerySession* session, uint64_t seed,
            {EvalStrategy::kQsqr, EvalStrategy::kMagic,
             EvalStrategy::kFixpoint}) {
         session->mutable_options()->strategy = strategy;
-        session->Invalidate();
         auto result = session->Query("?- " + goal.text + ".");
         ASSERT_TRUE(result.ok())
             << "seed " << seed << " goal " << goal.text << ": "

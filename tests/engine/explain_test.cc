@@ -269,6 +269,37 @@ TEST(ExplainTest, AnalyzeTagsAgreeWithTheJoinCounts) {
   EXPECT_EQ(Count(*fixpoint, "[index probe"), 1u) << *fixpoint;
   EXPECT_EQ(JoinCounts(*fixpoint), std::make_pair(size_t{2}, size_t{2}))
       << *fixpoint;
+
+  // Every call pattern the goal reaches renders, labelled: QSQR calls r
+  // with Y bound by e(X, Y), so r's rule probes f, as the join counts say.
+  VideoDatabase calls_db;
+  QuerySession calls(&calls_db);
+  ASSERT_TRUE(calls
+                  .Load("e(1, 2). e(1, 3). f(2, 5). f(3, 6). f(4, 7). "
+                        "r(Y, Z) <- f(Y, Z). "
+                        "p(X, Z) <- e(X, Y), r(Y, Z). "
+                        "sym(X, Y) <- e(X, Y). "
+                        "sym(X, Y) <- sym(Y, X).")
+                  .ok());
+  auto p = calls.Explain("?- p(1, Z).", /*analyze=*/true);
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_NE(p->find("call p(bf)\nrule p"), std::string::npos) << *p;
+  EXPECT_NE(p->find("call r(bf)\nrule r"), std::string::npos) << *p;
+  EXPECT_NE(p->find("1. match f(Y, Z)  [index probe on argument 1]"),
+            std::string::npos)
+      << *p;
+  EXPECT_EQ(Count(*p, "[full scan]"), 0u) << *p;
+  EXPECT_EQ(JoinCounts(*p).first, 0u) << *p;
+  // A recursive cone under forced QSQR: sym(1, Y) calls sym with its
+  // arguments swapped, so both patterns render once each, and the walk
+  // ends.
+  calls.mutable_options()->strategy = EvalStrategy::kQsqr;
+  auto sym = calls.Explain("?- sym(1, Y).", /*analyze=*/false);
+  ASSERT_TRUE(sym.ok()) << sym.status();
+  EXPECT_NE(sym->find("strategy: qsqr"), std::string::npos) << *sym;
+  EXPECT_EQ(Count(*sym, "call sym(bf)"), 1u) << *sym;
+  EXPECT_EQ(Count(*sym, "call sym(fb)"), 1u) << *sym;
+  EXPECT_EQ(Count(*sym, "call "), 2u) << *sym;
 }
 
 TEST(ExplainTest, FullScanWhenNothingBound) {

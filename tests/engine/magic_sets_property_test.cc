@@ -104,7 +104,6 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool with_deadline) {
         << "seed " << seed << " goal " << goal;
 
     session.mutable_options()->strategy = EvalStrategy::kFixpoint;
-    session.Invalidate();
     auto full = session.Query(goal);
     ASSERT_TRUE(full.ok()) << "seed " << seed << " goal " << goal << ": "
                            << full.status();

@@ -133,7 +133,6 @@ TEST_F(MagicSetsTest, SelectiveGoalDerivesFewerFacts) {
   size_t magic_derived = session_->last_stats().derived_facts;
 
   ForceFixpoint();
-  session_->Invalidate();
   auto full = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(full.ok());
   size_t full_derived = session_->last_stats().derived_facts;
@@ -173,7 +172,6 @@ TEST_F(MagicSetsTest, ConstructiveConeDeclines) {
   ASSERT_TRUE(a.ok()) << a.status();
   EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
   ForceFixpoint();
-  session_->Invalidate();
   auto b = session_->Query("?- combo(G).");
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->rows, b->rows);
@@ -196,7 +194,6 @@ TEST_F(MagicSetsTest, BuiltinLiteralWithConstructiveRulesDeclines) {
   auto a = session_->Query("?- wide(G).");
   ASSERT_TRUE(a.ok()) << a.status();
   ForceFixpoint();
-  session_->Invalidate();
   auto b = session_->Query("?- wide(G).");
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->rows, b->rows);
@@ -256,7 +253,6 @@ TEST_F(MagicSetsTest, ParallelMagicMatchesSerial) {
   auto serial = session_->Query("?- path(c2, Y).");
   ASSERT_TRUE(serial.ok());
   session_->mutable_options()->num_threads = 8;
-  session_->Invalidate();
   auto parallel = session_->Query("?- path(c2, Y).");
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(serial->rows, parallel->rows);

@@ -111,7 +111,6 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool magic) {
 
   for (const std::string& goal : GoalsFor(s, seed)) {
     session.mutable_options()->strategy = bottom_up;
-    session.Invalidate();
     auto merge = session.Query(goal);
     ASSERT_TRUE(merge.ok()) << "seed " << seed << " goal " << goal << ": "
                             << merge.status();
@@ -119,7 +118,6 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool magic) {
         << "seed " << seed << " goal " << goal;
 
     session.mutable_options()->strategy = EvalStrategy::kQsqr;
-    session.Invalidate();
     auto hash = session.Query(goal);
     ASSERT_TRUE(hash.ok()) << "seed " << seed << " goal " << goal << ": "
                            << hash.status();

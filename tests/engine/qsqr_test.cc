@@ -62,7 +62,6 @@ class QsqrTest : public ::testing::Test {
     ASSERT_TRUE(qsqr.ok()) << goal << ": " << qsqr.status();
     EXPECT_EQ(session_->last_exec_info().strategy, "qsqr") << goal;
     session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
-    session_->Invalidate();
     auto full = session_->Query(goal);
     session_->mutable_options()->strategy = EvalStrategy::kQsqr;
     ASSERT_TRUE(full.ok()) << goal << ": " << full.status();
@@ -167,7 +166,6 @@ TEST_F(QsqrTest, BoundGoalDerivesFarFewerFacts) {
   size_t qsqr_derived = session_->last_stats().derived_facts;
 
   session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
-  session_->Invalidate();
   auto full = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(full.ok());
   size_t full_derived = session_->last_stats().derived_facts;
@@ -228,7 +226,6 @@ TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
   ASSERT_TRUE(a.ok()) << a.status();
   EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
   session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
-  session_->Invalidate();
   auto b = session_->Query("?- combo(G).");
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->rows, b->rows);

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,21 +28,52 @@ uint64_t CounterValue(const char* name) {
   return c->value();
 }
 
+const char* kChainProgram =
+    "object a {}. object b {}. object c {}.\n"
+    "edge(a, b). edge(b, c).\n"
+    "path(X, Y) <- edge(X, Y).\n"
+    "path(X, Z) <- path(X, Y), edge(Y, Z).\n";
+
 class QueryCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     session_ = std::make_unique<QuerySession>(&db_);
-    ASSERT_TRUE(session_
-                    ->Load("object a {}. object b {}. object c {}.\n"
-                           "edge(a, b). edge(b, c).\n"
-                           "path(X, Y) <- edge(X, Y).\n"
-                           "path(X, Z) <- path(X, Y), edge(Y, Z).\n")
-                    .ok());
+    ASSERT_TRUE(session_->Load(kChainProgram).ok());
   }
 
   VideoDatabase db_;
   std::unique_ptr<QuerySession> session_;
 };
+
+// Under `strategy`, asks path(a, Y), lets `mutate` add the edge c -> d to
+// the database with no call to the session, and expects every later read
+// to see it: the goal asked before, a goal not asked before, and that goal
+// again under kAuto, which must not be served an answer stored under the
+// new epoch but computed from the old state.
+void ExpectEdgeSeenAfter(EvalStrategy strategy,
+                         const std::function<void(VideoDatabase*)>& mutate) {
+  SCOPED_TRACE(EvalStrategyName(strategy));
+  VideoDatabase db;
+  QuerySession session(&db);
+  session.mutable_options()->strategy = strategy;
+  ASSERT_TRUE(session.Load(kChainProgram).ok());
+  auto before = session.Query("?- path(a, Y).");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->rows.size(), 2u);  // b, c
+
+  mutate(&db);
+  auto after = session.Query("?- path(a, Y).");
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(session.last_exec_info().cache_hit);
+  EXPECT_EQ(after->rows.size(), 3u);  // b, c, d
+  auto other = session.Query("?- path(b, Y).");
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(other->rows.size(), 2u);  // c, d
+  session.mutable_options()->strategy = EvalStrategy::kAuto;
+  auto again = session.Query("?- path(b, Y).");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->rows, other->rows);
+}
 
 TEST_F(QueryCacheTest, SecondIdenticalQueryHitsWithoutEvaluation) {
   uint64_t hits0 = CounterValue("vqldb_query_cache_hits_total");
@@ -82,46 +114,38 @@ TEST_F(QueryCacheTest, DistinctPatternsDoNotCollide) {
 }
 
 TEST_F(QueryCacheTest, DirectDatabaseMutationInvalidatesViaEpoch) {
-  auto before = session_->Query("?- path(a, Y).");
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->rows.size(), 2u);  // b, c
-
-  // Mutate the database directly — no Invalidate() call. The epoch in the
-  // cache key changes, so the next query misses and sees the new fact.
-  ObjectId d = *db_.CreateEntity("d");
-  ASSERT_TRUE(db_.AssertFact("edge", {Value::Oid(*db_.Resolve("c")),
-                                      Value::Oid(d)})
-                  .ok());
-  auto after = session_->Query("?- path(a, Y).");
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(session_->last_exec_info().cache_hit);
-  EXPECT_EQ(after->rows.size(), 3u);  // b, c, d
+  // Mutate the database directly. The epoch in every cache key, the
+  // materialized fixpoint's included, changes, so the next queries miss
+  // and see the new fact.
+  for (EvalStrategy strategy : {EvalStrategy::kAuto, EvalStrategy::kFixpoint}) {
+    ExpectEdgeSeenAfter(strategy, [](VideoDatabase* db) {
+      ObjectId d = *db->CreateEntity("d");
+      ASSERT_TRUE(db->AssertFact("edge", {Value::Oid(*db->Resolve("c")),
+                                          Value::Oid(d)})
+                      .ok());
+    });
+  }
 }
 
 TEST_F(QueryCacheTest, JournalReplayInvalidatesViaEpoch) {
-  auto before = session_->Query("?- path(a, Y).");
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->rows.size(), 2u);
-
   // Write a journal carrying a new object + edge fact, then replay it into
   // the live database. Replay goes through the ordinary mutators, so the
-  // epoch advances and the cached entry can no longer be reached.
+  // epoch advances and the cached entries can no longer be reached.
   std::string path = ::testing::TempDir() + "/query_cache_journal.vqlog";
-  std::remove(path.c_str());
-  {
-    auto journal = Journal::Open(path, {});
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    ASSERT_TRUE(journal->Append("object d {}.").ok());
-    ASSERT_TRUE(journal->Append("edge(c, d).").ok());
-    ASSERT_TRUE(journal->Sync().ok());
+  for (EvalStrategy strategy : {EvalStrategy::kAuto, EvalStrategy::kFixpoint}) {
+    ExpectEdgeSeenAfter(strategy, [&path](VideoDatabase* db) {
+      std::remove(path.c_str());
+      {
+        auto journal = Journal::Open(path, {});
+        ASSERT_TRUE(journal.ok()) << journal.status();
+        ASSERT_TRUE(journal->Append("object d {}.").ok());
+        ASSERT_TRUE(journal->Append("edge(c, d).").ok());
+        ASSERT_TRUE(journal->Sync().ok());
+      }
+      auto report = Journal::Replay(path, db);
+      ASSERT_TRUE(report.ok()) << report.status();
+    });
   }
-  auto report = Journal::Replay(path, &db_);
-  ASSERT_TRUE(report.ok()) << report.status();
-
-  auto after = session_->Query("?- path(a, Y).");
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(session_->last_exec_info().cache_hit);
-  EXPECT_EQ(after->rows.size(), 3u);
   std::remove(path.c_str());
 }
 
@@ -303,10 +327,8 @@ TEST(SharedQueryCacheTest, SessionsShareOneCacheWithExactBytes) {
   // Both sessions miss on the same key at once and both store it: the
   // first store wins and the second must not count its bytes again.
   for (int round = 0; round < 50; ++round) {
-    // Drops the shared cache and each session's fixpoint, so that both
-    // evaluate again.
-    one.Invalidate();
-    two.Invalidate();
+    // Drops the shared cache, so that both evaluate again.
+    one.ClearQueryCache();
     std::atomic<int> ready{0};
     auto run = [&](QuerySession* session) {
       ready.fetch_add(1);

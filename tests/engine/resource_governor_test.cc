@@ -214,6 +214,18 @@ TEST(ResourceGovernorTest, GovernorGaugesTrackReservations) {
   EXPECT_GT(session.governor()->bytes_peak(), 0u);
   // Retained state (the cached answer) is the only live reservation.
   EXPECT_EQ(session.governor()->bytes_reserved(), session.query_cache_bytes());
+
+  // Under full materialization the fixpoint is one more cache entry: the
+  // governor is charged for it once, by the cache, and not again by the
+  // evaluation that built it.
+  VideoDatabase forced_db;
+  QuerySession forced(&forced_db);
+  LoadChain(&forced, 16);
+  forced.mutable_options()->strategy = EvalStrategy::kFixpoint;
+  forced.EnableMemoryGovernor(1u << 30);
+  ASSERT_TRUE(forced.Query("?- path(n0, Y).").ok());
+  EXPECT_EQ(forced.query_cache_size(), 2u);  // the fixpoint and the answer
+  EXPECT_EQ(forced.governor()->bytes_reserved(), forced.query_cache_bytes());
 }
 
 TEST(ResourceGovernorTest, PartialStatsSurviveGovernedAbort) {

@@ -102,7 +102,6 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool with_deadline,
   for (const std::string& goal : GoalsFor(s, seed)) {
     // Baseline: the full bottom-up fixpoint, no goal direction.
     session.mutable_options()->strategy = EvalStrategy::kFixpoint;
-    session.Invalidate();
     auto full = session.Query(goal);
     ASSERT_TRUE(full.ok()) << "seed " << seed << " goal " << goal << ": "
                            << full.status();

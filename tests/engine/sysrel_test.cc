@@ -261,6 +261,19 @@ TEST_F(SysRelSessionTest, SysMetricsAndBudgetAnswer) {
   auto cache = session_->Query("?- sys_cache(Kind, On, E, B, M).");
   ASSERT_TRUE(cache.ok()) << cache.status();
   EXPECT_EQ(cache->rows.size(), 2u);
+
+  // With the cache off, a full materialization is not retained: the
+  // fixpoint row, like the query row, reads no entry.
+  session_->set_cache_enabled(false);
+  session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
+  ASSERT_TRUE(session_->Query("?- path(a, Y).").ok());
+  auto off = session_->Query("?- sys_cache(Kind, On, E, B, M).");
+  ASSERT_TRUE(off.ok()) << off.status();
+  ASSERT_EQ(off->rows.size(), 2u);
+  for (const auto& row : off->rows) {
+    EXPECT_EQ(row[1].int_value(), 0) << row[0].string_value();
+    EXPECT_EQ(row[2].int_value(), 0) << row[0].string_value();
+  }
 }
 
 }  // namespace

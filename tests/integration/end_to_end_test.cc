@@ -63,7 +63,6 @@ TEST_F(EndToEndTest, FullPipeline) {
   EXPECT_GT(edit->TotalDuration(), 0);
   auto edited = MaterializeSequence(&db, "actor0_reel", *edit);
   ASSERT_TRUE(edited.ok());
-  session.Invalidate();  // external db mutation
 
   // The materialized reel equals actor0's ground-truth occurrences.
   IntervalSet reel = *db.DurationOf(*edited);
@@ -149,25 +148,19 @@ TEST_F(EndToEndTest, SessionCachingAndInvalidation) {
   Annotator annotator(&db);
   ASSERT_TRUE(annotator.AnnotateTimeline(timeline_).ok());
   QuerySession session(&db);
-  // The full-materialization contract under test: force the fixpoint
-  // strategy (the goal-directed ones evaluate against the live database)
-  // so queries answer from the session's cached fixpoint.
+  // Full materialization: force the fixpoint strategy, so queries answer
+  // from the cached fixpoint.
   session.mutable_options()->strategy = EvalStrategy::kFixpoint;
   ASSERT_TRUE(session.Load(StandardRuleLibrary()).ok());
   auto before = session.Query("?- appears(O, G).");
   ASSERT_TRUE(before.ok());
-  // External mutation without Invalidate: the cache still answers with the
-  // old fixpoint; after Invalidate the new entity shows up. (The query
-  // cache does not mask this: it keys on the database epoch, which the
-  // mutation advances.)
+  // External mutation, with no call to the session: the cached fixpoint is
+  // keyed on the database epoch, which the mutation advances, so the very
+  // next query re-derives and sees the new entity.
   ObjectId extra = *db.CreateEntity("latecomer");
   ObjectId gi =
       *db.CreateInterval("late_scene", GeneralizedInterval::Single(500, 510));
   ASSERT_TRUE(db.AddEntityToInterval(gi, extra).ok());
-  auto stale = session.Query("?- appears(latecomer, G).");
-  ASSERT_TRUE(stale.ok());
-  EXPECT_TRUE(stale->rows.empty());
-  session.Invalidate();
   auto fresh = session.Query("?- appears(latecomer, G).");
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->rows.size(), 1u);
@@ -183,7 +176,7 @@ TEST_F(EndToEndTest, GoalDirectedDefaultSeesLiveDatabase) {
   ASSERT_TRUE(before.ok());
   // With magic-set evaluation on (the default), each query evaluates
   // against the live database and the query cache self-invalidates via the
-  // mutation epoch — external mutation needs no Invalidate() call.
+  // mutation epoch — external mutation needs no call to the session.
   ObjectId extra = *db.CreateEntity("latecomer");
   ObjectId gi =
       *db.CreateInterval("late_scene", GeneralizedInterval::Single(500, 510));

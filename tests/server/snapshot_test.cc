@@ -12,6 +12,7 @@
 #include "src/engine/query.h"
 #include "src/lang/parser.h"
 #include "src/model/database.h"
+#include "src/obs/metrics.h"
 
 namespace vqldb {
 namespace server {
@@ -283,14 +284,14 @@ TEST(SnapshotManagerTest, ConstructiveRulesGiveEachLeaseAPrivateCopy) {
 
   // gi1 ++ gi2 materializes a derived interval in the first lease's copy
   // only: neither the other lease nor the live database sees it, and the
-  // answer lands in the first lease's cache alone.
+  // fixpoint and the answer land in the first lease's cache alone.
   auto combo = one->session()->Query("?- combo(G).");
   ASSERT_TRUE(combo.ok()) << combo.status().ToString();
   EXPECT_EQ(combo->rows.size(), 3u);  // gi1, gi2 and gi1 ++ gi2
   EXPECT_EQ(one->db()->derived_interval_count(), 1u);
   EXPECT_EQ(two->db()->derived_interval_count(), 0u);
   EXPECT_EQ(db.derived_interval_count(), 0u);
-  EXPECT_EQ(one->session()->query_cache_size(), 1u);
+  EXPECT_EQ(one->session()->query_cache_size(), 2u);
   EXPECT_EQ(two->session()->query_cache_size(), 0u);
 
   auto again = two->session()->Query("?- combo(G).");
@@ -406,6 +407,65 @@ TEST(SnapshotManagerTest, ConcurrentReadersOfOneGenerationMatchSerialAnswers) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_LE((*snapshot)->sessions_built(), 4u);
   EXPECT_EQ(manager.snapshots_built(), 1u);
+}
+
+TEST(SnapshotManagerTest, FixpointReadersOfOneGenerationShareOneFixpoint) {
+  // Under full materialization the fixpoint is an entry of the
+  // generation's shared cache: once one query has stored it, four sessions
+  // answering distinct goals from four threads all read it, run no
+  // fixpoint round, and answer as a serial session does.
+  const auto [program, goals] = MakeNewsTimeline();
+  VideoDatabase serial_db;
+  QuerySession serial(&serial_db);
+  ASSERT_TRUE(serial.Load(program).ok());
+  std::vector<std::string> expected;
+  for (const std::string& goal : goals) {
+    auto result = serial.Query(goal);
+    ASSERT_TRUE(result.ok()) << goal << ": " << result.status().ToString();
+    expected.push_back(result->ToString(&serial_db));
+  }
+
+  EvalOptions options;
+  options.strategy = EvalStrategy::kFixpoint;
+  VideoDatabase db;
+  SnapshotManager manager(&db, options, 4);
+  ASSERT_TRUE(manager.Apply(program).ok());
+  auto snapshot = manager.Current();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE((*snapshot)->shared());
+  {
+    auto lease = (*snapshot)->Acquire();
+    ASSERT_TRUE(lease.ok());
+    ASSERT_TRUE(lease->session()->Query(goals[0]).ok());
+  }
+
+  obs::Counter* rounds = obs::MetricsRegistry::Global().GetCounter(
+      "vqldb_eval_rounds_total", "");
+  const uint64_t rounds_before = rounds->value();
+  constexpr size_t kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::atomic<size_t> leased{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread holds its own lease, so four distinct sessions read.
+      auto lease = (*snapshot)->Acquire();
+      leased.fetch_add(1);
+      while (leased.load() < kThreads) {
+      }
+      ASSERT_TRUE(lease.ok());
+      for (size_t g = 1 + t; g < goals.size(); g += kThreads) {
+        auto result = lease->session()->Query(goals[g]);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(lease->session()->last_exec_info().strategy, "fixpoint");
+        if (result->ToString(lease->db()) != expected[g]) ++mismatches;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ((*snapshot)->sessions_built(), kThreads);
+  EXPECT_EQ(rounds->value(), rounds_before);
 }
 
 TEST(SnapshotManagerTest, ConcurrentRenderedReadersOfOneGenerationMatchSerial) {

@@ -7,7 +7,7 @@
 // cells with ' ', ',' and '"', numbers whose text order differs from their
 // numeric order, and shards that hold nothing; each goal is asked twice
 // (shard caches miss, then hit), also with a shard killed under
-// allow_partial (a degraded scatter, shard caches suppressed). The
+// allow_partial (a degraded scatter, whose live shards keep caching). The
 // cache-only lookup the server answers on its IO thread (CachedQuery) must
 // give Query()'s bytes for every goal pruned to one shard, and nothing
 // otherwise; it and a one-shard scatter share the shard cache entry's rows.
@@ -308,7 +308,8 @@ TEST_F(ArchiveMergeTest, KilledShardUnderAllowPartialMatchesTheReference) {
       Populate(a, seed * 7 + static_cast<uint32_t>(shards));
       // Warm the shard caches with complete scatters first.
       ExpectEveryGoalMatches(a, {});
-      // A degraded scatter runs the live shards with caches suppressed.
+      // A degraded scatter: the live shards answer from and fill their
+      // caches as in a complete one.
       a.KillShard(0);
       ExpectEveryGoalMatches(a, {0});
       ASSERT_TRUE(a.RecoverShard(0).ok());

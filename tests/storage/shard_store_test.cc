@@ -385,64 +385,100 @@ TEST_F(ShardStoreTest, KillAndRecoverShardRoundTrip) {
   EXPECT_FALSE(full->partial);
 }
 
-// Kill -> query -> recover -> query: answers produced during a degraded
-// (PARTIAL) scatter must never enter the per-shard query caches — a cached
-// entry carries no completeness report, so a later hit would serve the
-// degraded-era answer as if the scatter had been complete.
-TEST_F(ShardStoreTest, DegradedScatterNeverPopulatesShardCaches) {
-  auto archive = MustOpen(root_, FastOptions(4));
+// Kill -> partial scatters -> a shard failing mid-scatter -> recover: the
+// per-shard answers cached along the way are kept, and every answer served
+// afterwards, by a strict scatter or a cache-only lookup, equals the same
+// query on a freshly opened archive over the same root. A shard's entry is
+// keyed on that shard's own epochs, so it is that shard's complete answer
+// whatever its siblings' health; a scatter's completeness comes from shard
+// health at scatter time, never from a cache.
+TEST_F(ShardStoreTest, DegradedEraCacheEntriesServeCompleteAnswers) {
+  ShardedArchive::Options options = FastOptions(4);
+  options.eval_options.strict_types = true;
+  // Every shard's box holds a set except shard 2's, where `1 in S` meets a
+  // non-set: a type error under strict types, on that shard alone.
+  const std::string rule = "boxed(O) <- box(O, S), 1 in S.";
+  auto archive = MustOpen(root_, options);
   ASSERT_NE(archive, nullptr);
   SeedEveryShard(*archive);
-
-  // A complete scatter caches one entry in every shard's session.
-  auto before = archive->Query("?- tagged(X).");
-  ASSERT_TRUE(before.ok()) << before.status();
-  EXPECT_EQ(before->size(), 4u);
-
-  archive->KillShard(1);
-
-  // Strict mode fails on the health pre-scan, before any shard session
-  // runs — no shard caches an answer for the doomed scatter.
-  EXPECT_TRUE(archive->Query("?- tagged(sym0).").status().IsUnavailable());
-
-  // A degraded scatter answers from the live shards with caching
-  // suppressed: sym0 resolves only on shard 0, so shard 0 runs this fresh
-  // goal but must not retain it.
+  for (uint32_t id = 0; id < archive->shard_count(); ++id) {
+    const std::string box = "box(sym" + std::to_string(id) +
+                            (id == 2 ? ", 5)." : ", {1, 2}).");
+    ASSERT_TRUE(archive->Apply(TenantFor(*archive, id), box).ok());
+  }
+  ASSERT_TRUE(archive->Apply(TenantFor(*archive, 0), rule).ok());
   ShardedArchive::QueryOptions partial_opts;
   partial_opts.allow_partial = true;
-  auto partial = archive->Query("?- tagged(sym0).", partial_opts);
-  ASSERT_TRUE(partial.ok()) << partial.status();
-  EXPECT_TRUE(partial->partial);
-  EXPECT_EQ(partial->size(), 1u);
 
-  // Every live shard still holds exactly the one complete-era entry; the
-  // degraded-era goal was not stored. sys_cache(kind, enabled, entries,
-  // bytes, max) reports each session's cache occupancy.
-  auto caches = archive->Query("?- sys_cache(K, E, N, B, M).", partial_opts);
-  ASSERT_TRUE(caches.ok()) << caches.status();
-  bool saw_query_row = false;
-  for (const auto& row : caches->rows()) {
-    ASSERT_EQ(row.size(), 5u);
-    if (row[0] != "\"query\"" && row[0] != "query") continue;
-    saw_query_row = true;
-    EXPECT_EQ(row[2], "1") << "degraded-era answer was cached";
+  // 1. Degraded scatters while shard 1 is down: each reports the gap, and
+  // the live shards cache their parts.
+  archive->KillShard(1);
+  const std::vector<std::string> lookups = {
+      "?- tagged(sym0).", "?- tagged(sym3).", "?- boxed(sym3)."};
+  auto scan = archive->Query("?- tagged(X).", partial_opts);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_TRUE(scan->partial);
+  EXPECT_EQ(scan->size(), 3u);
+  for (const std::string& goal : lookups) {
+    auto lookup = archive->Query(goal, partial_opts);
+    ASSERT_TRUE(lookup.ok()) << goal << ": " << lookup.status();
+    EXPECT_TRUE(lookup->partial) << goal;
+    EXPECT_EQ(lookup->size(), 1u) << goal;
   }
-  EXPECT_TRUE(saw_query_row);
 
-  // Recovery restores the shard; a strict scatter is complete again and
-  // includes the recovered shard's contribution.
+  // 2. Shard 2 fails mid-scatter, after shard 0 answered, both while
+  // shard 1 is down and once every shard is up again.
+  auto degraded = archive->Query("?- boxed(O).", partial_opts);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_TRUE(degraded->partial);
+  EXPECT_NE(degraded->reports[2].error.find("non-set"), std::string::npos)
+      << degraded->reports[2].error;
+  // 3. Recovery.
   ASSERT_TRUE(archive->RecoverShard(1).ok());
-  auto full = archive->Query("?- tagged(X).");
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_FALSE(full->partial);
-  EXPECT_EQ(full->rows(), before->rows());
+  auto failed = archive->Query("?- boxed(O).", partial_opts);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_TRUE(failed->partial);
+  EXPECT_EQ(failed->size(), 3u);  // sym0, sym1, sym3
 
-  // The goal suppressed during degradation now answers (and caches)
-  // normally, still with the same rows.
-  auto again = archive->Query("?- tagged(sym0).");
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_FALSE(again->partial);
-  EXPECT_EQ(again->rows(), partial->rows());
+  // 4. The degraded-era lookups were kept and are now cache-only hits,
+  // reported complete.
+  std::vector<std::string> hits;
+  for (const std::string& goal : lookups) {
+    auto query = Parser::ParseQuery(goal);
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto hit = archive->CachedQuery(*query);
+    ASSERT_TRUE(hit.has_value()) << goal << " was not kept";
+    EXPECT_FALSE(hit->partial) << goal;
+    hits.push_back(hit->ToString());
+  }
+  // Strict scatters: their answer, or their error.
+  auto answer = [](ShardedArchive& a, const std::string& goal) {
+    auto result = a.Query(goal);
+    return result.ok() ? result->ToString() : result.status().ToString();
+  };
+  const std::vector<std::string> strict_goals = {
+      "?- tagged(X).", "?- tagged(sym0).", "?- tagged(sym1).",
+      "?- boxed(sym3).", "?- boxed(O)."};
+  std::vector<std::string> strict_answers;
+  for (const std::string& goal : strict_goals) {
+    strict_answers.push_back(answer(*archive, goal));
+  }
+  EXPECT_NE(strict_answers.back().find("non-set"), std::string::npos)
+      << strict_answers.back();
+  archive.reset();
+
+  // 5. The reference: a fresh archive over the same root, with the rules
+  // (which are not journaled) installed again.
+  auto fresh = MustOpen(root_, options);
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_TRUE(fresh->Apply(TenantFor(*fresh, 0), rule).ok());
+  for (size_t i = 0; i < lookups.size(); ++i) {
+    EXPECT_EQ(hits[i], answer(*fresh, lookups[i])) << lookups[i];
+  }
+  for (size_t i = 0; i < strict_goals.size(); ++i) {
+    EXPECT_EQ(strict_answers[i], answer(*fresh, strict_goals[i]))
+        << strict_goals[i];
+  }
 }
 
 TEST_F(ShardStoreTest, RecoveryRetriesWithBackoffUntilTheFaultClears) {

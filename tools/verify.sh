@@ -84,8 +84,10 @@
 #    differential-oracle, strategy and magic-set property, answer-cache,
 #    rendered-answer, parser-fuzz, archive (shard merge offset arithmetic),
 #    interpretation and columnar (bit-63 probe masks, wide rows, sorted
-#    probe offsets) tests under UBSan with halt_on_error=1, so any
-#    undefined-behaviour report fails the gate.
+#    probe offsets), resource-governor and sysrel (the cache's byte
+#    accounting, the fixpoint entry's included, and the sys_cache rows)
+#    tests under UBSan with halt_on_error=1, so any undefined-behaviour
+#    report fails the gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -491,11 +493,12 @@ echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
 UBSAN_TESTS=(qsqr_test differential_oracle_test strategy_property_test
              magic_sets_property_test planner_test query_cache_test
              rendered_query_test parser_fuzz_test archive_merge_test
-             shard_store_test interpretation_test columnar_test)
+             shard_store_test interpretation_test columnar_test
+             resource_governor_test sysrel_test)
 cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS" --target "${UBSAN_TESTS[@]}"
 
-echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz + archive merge + columnar probes =="
+echo "== ubsan: qsqr + oracle + strategies + magic sets + dispatch + caches + parser fuzz + archive merge + columnar probes + governor + sys_cache =="
 for t in "${UBSAN_TESTS[@]}"; do
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
 done

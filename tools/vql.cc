@@ -23,11 +23,12 @@
 //   --reorder              stats-driven body-literal reordering: the planner
 //                          orders each rule body by estimated selectivity
 //                          instead of the written order (also: .reorder on)
-//   --no-cache             disable the memoizing query cache (also settable
-//                          at runtime: .cache on|off|clear)
+//   --no-cache             disable the memoizing cache: no answer and no
+//                          materialized fixpoint is kept between queries
+//                          (also settable at runtime: .cache on|off|clear)
 //   --mem-limit-bytes=<n>  governed memory budget: queries whose working set
 //                          would exceed it fail with "Resource exhausted"
-//                          after the caches are shed, and the shell keeps
+//                          after the cache is shed, and the shell keeps
 //                          running (also settable at runtime: .memlimit)
 //   --max-concurrency=<n>  admission control: at most n queries execute at
 //                          once, excess arrivals queue then shed with
